@@ -309,7 +309,7 @@ func main() {
 
 	// The perf loops (continuous profiling ring, drift watcher) run for the
 	// daemon's lifetime and stop with the signal context at drain time.
-	srv.StartPerfLoops(ctx)
+	waitPerfLoops := srv.StartPerfLoops(ctx)
 
 	if *debugAddr != "" {
 		dbgSrv := &http.Server{
@@ -358,5 +358,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
 		os.Exit(1)
 	}
+	// A drift snapshot being written, or a profile being captured, ends
+	// before the process does.
+	waitPerfLoops()
 	logger.Info("smtflexd stopped")
 }

@@ -101,21 +101,26 @@ func (c Config) validate() error {
 	return nil
 }
 
+// line is one cache way in 16 bytes: the tag, with the dirty flag in its
+// top bit (tags never reach it), and a per-set LRU stamp, higher is more
+// recent, that is zero while the way is invalid. Invalid ways are all zero.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set stamp; higher is more recent.
+	tag uint64
 	lru uint64
 }
+
+const dirtyBit = 1 << 63
 
 // Cache is a set-associative write-back, write-allocate cache with true LRU
 // replacement.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds the sets one after another, assoc ways each.
+	lines    []line
+	assoc    int
 	setShift uint
 	setMask  uint64
+	tagShift uint
 	stamp    uint64
 	// Stats is exported state; callers may reset it between phases.
 	Stats Stats
@@ -129,17 +134,14 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	n := cfg.Sets()
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, n),
+		lines:    make([]line, n*cfg.Assoc),
+		assoc:    cfg.Assoc,
 		setShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		setMask:  uint64(n - 1),
-	}
-	backing := make([]line, n*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
-	return c, nil
+		tagShift: uint(bits.TrailingZeros(uint(n))),
+	}, nil
 }
 
 // Config returns the cache geometry.
@@ -148,9 +150,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // Latency returns the hit latency in cycles.
 func (c *Cache) Latency() int { return c.cfg.LatencyCycles }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// set returns the ways of addr's set and addr's tag.
+func (c *Cache) set(addr uint64) (ways []line, tag uint64) {
 	block := addr >> c.setShift
-	return int(block & c.setMask), block >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	i := int(block&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc], block >> c.tagShift
 }
 
 // Access looks up addr, allocating on miss. It returns hit=true on a hit and
@@ -158,44 +162,42 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 func (c *Cache) Access(addr uint64, kind AccessKind) (hit, evictedDirty bool) {
 	c.Stats.Accesses++
 	c.stamp++
-	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines, tag := c.set(addr)
+	// The victim is an invalid way if there is one (stamp zero), else the
+	// least recently used.
 	victim := 0
 	for i := range lines {
 		ln := &lines[i]
-		if ln.valid && ln.tag == tag {
+		if ln.lru != 0 && ln.tag&^dirtyBit == tag {
 			ln.lru = c.stamp
 			if kind == Write {
-				ln.dirty = true
+				ln.tag |= dirtyBit
 			}
 			return true, false
 		}
-		if !ln.valid {
-			victim = i
-		} else if lines[victim].valid && ln.lru < lines[victim].lru {
+		if ln.lru < lines[victim].lru {
 			victim = i
 		}
 	}
 	c.Stats.Misses++
 	v := &lines[victim]
-	evictedDirty = v.valid && v.dirty
+	evictedDirty = v.tag&dirtyBit != 0
 	if evictedDirty {
 		c.Stats.Writebacks++
 	}
-	v.valid = true
-	v.tag = tag
-	v.dirty = kind == Write
-	v.lru = c.stamp
+	if kind == Write {
+		tag |= dirtyBit
+	}
+	*v = line{tag: tag, lru: c.stamp}
 	return false, evictedDirty
 }
 
 // Probe reports whether addr currently hits, without updating LRU state or
 // statistics. Used by tests and by the scheduler's footprint estimation.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	lines, tag := c.set(addr)
+	for _, ln := range lines {
+		if ln.lru != 0 && ln.tag&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -205,14 +207,11 @@ func (c *Cache) Probe(addr uint64) bool {
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
-			if ln.valid && ln.dirty {
-				dirty++
-			}
-			*ln = line{}
+	for i, ln := range c.lines {
+		if ln.tag&dirtyBit != 0 {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }

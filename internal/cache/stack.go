@@ -14,12 +14,13 @@ import (
 //
 // Distances are recorded in power-of-two buckets: bucket b counts accesses
 // with stack distance d where bits.Len(d) == b, so the miss ratio at any
-// power-of-two capacity is exact. The implementation uses an
-// order-statistics treap over access timestamps, so each touch is
-// O(log n) in the number of distinct blocks.
+// power-of-two capacity is exact. Each block's latest access timestamp is
+// marked in a Fenwick tree (binary indexed tree) over access times, so a
+// touch counts the distinct blocks touched since the previous access to
+// its block in O(log n) time, n the number of accesses so far.
 type StackProfiler struct {
 	last  map[uint64]uint64 // block -> timestamp of previous access
-	tree  *treap
+	live  fenwick           // 1 at each block's latest access timestamp
 	clock uint64
 	// hist[b] counts accesses whose stack distance d has bits.Len64(d)==b.
 	hist [65]uint64
@@ -32,25 +33,64 @@ type StackProfiler struct {
 // NewStackProfiler returns an empty profiler. The argument is retained for
 // compatibility and ignored; bucketing makes the resolution unbounded.
 func NewStackProfiler(int) *StackProfiler {
-	return &StackProfiler{last: make(map[uint64]uint64), tree: newTreap()}
+	return &StackProfiler{last: make(map[uint64]uint64), live: newFenwick(1 << 10)}
 }
 
 // Touch records an access to block (a block-aligned address or block id).
 func (p *StackProfiler) Touch(block uint64) {
 	p.clock++
 	p.total++
+	if p.clock > p.live.size() {
+		p.live.grow(uint64(len(p.last)))
+	}
 	prev, seen := p.last[block]
 	if seen {
-		// Stack distance = number of distinct blocks touched since prev,
-		// which is the count of timestamps in the tree greater than prev.
-		d := uint64(p.tree.countGreater(prev))
+		// Stack distance = number of distinct blocks touched since prev:
+		// the live timestamps after prev.
+		d := uint64(len(p.last)) - p.live.prefix(prev)
 		p.hist[bits.Len64(d)]++
-		p.tree.delete(prev)
+		p.live.add(prev, -1)
 	} else {
 		p.cold++
 	}
-	p.tree.insert(p.clock)
+	p.live.add(p.clock, 1)
 	p.last[block] = p.clock
+}
+
+// fenwick is a binary indexed tree of counts over timestamps 1..size, with
+// size a power of two. t[i] holds the sum over (i - lowbit(i), i].
+type fenwick struct{ t []int32 }
+
+func newFenwick(size int) fenwick { return fenwick{t: make([]int32, size+1)} }
+
+func (f *fenwick) size() uint64 { return uint64(len(f.t) - 1) }
+
+// add adds delta at timestamp i.
+func (f *fenwick) add(i uint64, delta int32) {
+	for ; i < uint64(len(f.t)); i += i & -i {
+		f.t[i] += delta
+	}
+}
+
+// prefix returns the count over timestamps 1..i.
+func (f *fenwick) prefix(i uint64) uint64 {
+	var sum int32
+	for ; i > 0; i -= i & -i {
+		sum += f.t[i]
+	}
+	return uint64(sum)
+}
+
+// grow doubles the tree, whose counts sum to total. A node's range does not
+// depend on the tree's size, so the old nodes keep their sums, the new
+// nodes below the top cover only empty future timestamps, and the new top
+// node covers everything.
+func (f *fenwick) grow(total uint64) {
+	n := len(f.t) - 1
+	t := make([]int32, 2*n+1)
+	copy(t, f.t)
+	t[2*n] = int32(total)
+	f.t = t
 }
 
 // Accesses returns the total number of touches recorded.

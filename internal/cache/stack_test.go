@@ -55,6 +55,35 @@ func TestStackProfilerMatchesNaiveLRU(t *testing.T) {
 	}
 }
 
+// TestStackProfilerMatchesNaiveLRUAcrossGrowth runs the oracle comparison
+// on a stream long enough to double the Fenwick tree several times, mixing
+// a hot set with a wide one so distances straddle every growth.
+func TestStackProfilerMatchesNaiveLRUAcrossGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := NewStackProfiler(0)
+	initial := p.live.size()
+	refs := make([]uint64, 9000)
+	for i := range refs {
+		if rng.Intn(4) == 0 {
+			refs[i] = 1000 + uint64(rng.Intn(700))
+		} else {
+			refs[i] = uint64(rng.Intn(24))
+		}
+	}
+	for _, b := range refs {
+		p.Touch(b)
+	}
+	if p.live.size() < 4*initial {
+		t.Fatalf("tree grew from %d to %d timestamps, want at least two doublings", initial, p.live.size())
+	}
+	for capacity := 1; capacity <= 1024; capacity *= 2 {
+		want := float64(naiveLRUMisses(refs, capacity)) / float64(len(refs))
+		if got := p.MissRatio(capacity); got != want {
+			t.Errorf("capacity %d: miss ratio %g, naive LRU %g", capacity, got, want)
+		}
+	}
+}
+
 func TestStackProfilerSequential(t *testing.T) {
 	// A strict streaming pattern never reuses: every access is a miss at any
 	// capacity.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"smtflex/internal/faults"
 	"smtflex/internal/journal"
@@ -86,6 +87,17 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 			t.Fatalf("fleet of %d: interrupted sweep succeeded, want cancellation", nWorkers)
 		}
 		cancel()
+		// The cancelled caller returns while dispatches already on the wire
+		// finish and journal their cells; the sweep's flight record closes
+		// once they have, and nothing is journaled after that.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if fl := c1.FlightList(); len(fl) == 1 && !fl[0].Active {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet of %d: interrupted sweep still running: %+v", nWorkers, c1.FlightList())
+			}
+		}
 		journaled := opts.Journal.Len()
 		if journaled < 6 {
 			t.Fatalf("fleet of %d: %d cells journaled before cancel, want >= 6", nWorkers, journaled)

@@ -87,6 +87,9 @@ type Source struct {
 	// instrumentation for the stampede regression tests.
 	measureRuns atomic.Int64
 	curveRuns   atomic.Int64
+	// recorded, when set, sees each profile's recording — test
+	// instrumentation for the recording's lifetime.
+	recorded func(*trace.Recording)
 }
 
 type profileKey struct {
@@ -202,9 +205,10 @@ type measured struct {
 	wbFraction  float64 // DRAM writebacks per DRAM fill
 }
 
-// runOnce simulates spec alone on a single core with configuration cc and
-// the given ideal flags, discarding a warmup window before measuring.
-func (s *Source) runOnce(spec trace.Spec, cc config.Core, ideal cpu.Ideal) (measured, error) {
+// runOnce simulates the recorded benchmark alone on a single core with
+// configuration cc and the given ideal flags, discarding a warmup window
+// before measuring.
+func (s *Source) runOnce(rec *trace.Recording, cc config.Core, ideal cpu.Ideal) (measured, error) {
 	d := config.Design{Name: "profiling", SMTEnabled: false, MemBandwidthGBps: 8}
 	d.Cores = []config.Core{cc}
 	llc := config.LLCConfig()
@@ -216,11 +220,7 @@ func (s *Source) runOnce(spec trace.Spec, cc config.Core, ideal cpu.Ideal) (meas
 	if err != nil {
 		return measured{}, err
 	}
-	g, err := trace.NewGenerator(spec, profileSeed)
-	if err != nil {
-		return measured{}, err
-	}
-	id, err := chip.AttachThread(0, g)
+	id, err := chip.AttachThread(0, rec.Reader())
 	if err != nil {
 		return measured{}, err
 	}
@@ -256,6 +256,17 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 	if err != nil {
 		return nil, err
 	}
+	// Every run below replays the same profileSeed stream, and none reads
+	// past Warmup+UopCount µops: record it once, and let the recording go
+	// with this call. It is made after the curve pass, whose block maps are
+	// the profile's largest live data, so the two never add up.
+	rec, err := trace.Record(spec, profileSeed, s.Warmup+s.UopCount)
+	if err != nil {
+		return nil, err
+	}
+	if s.recorded != nil {
+		s.recorded(rec)
+	}
 
 	p := &interval.Profile{
 		Benchmark:  spec.Name,
@@ -273,7 +284,7 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		if cc.OutOfOrder {
 			wcc.ROBSize = w
 		}
-		st, err := s.runOnce(spec, wcc, allIdeal)
+		st, err := s.runOnce(rec, wcc, allIdeal)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +294,7 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 	cpiA := p.BaseCPIs[len(p.BaseCPIs)-1] // full-window base CPI
 
 	// Real branches.
-	stB, err := s.runOnce(spec, cc, cpu.Ideal{ICache: true, DCache: true})
+	stB, err := s.runOnce(rec, cc, cpu.Ideal{ICache: true, DCache: true})
 	if err != nil {
 		return nil, err
 	}
@@ -291,14 +302,14 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 	p.BrMPKU = stB.mispredicts * 1000
 
 	// Real I-cache.
-	stC, err := s.runOnce(spec, cc, cpu.Ideal{DCache: true})
+	stC, err := s.runOnce(rec, cc, cpu.Ideal{DCache: true})
 	if err != nil {
 		return nil, err
 	}
 	p.L1ICPI = clampNonNeg(stC.cpi - stB.cpi)
 
 	// Real data hierarchy.
-	stD, err := s.runOnce(spec, cc, cpu.Ideal{})
+	stD, err := s.runOnce(rec, cc, cpu.Ideal{})
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +343,7 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		wmin := interval.Partition(cc, cc.SMTContexts)
 		wcc := cc
 		wcc.ROBSize = wmin
-		stDmin, err := s.runOnce(spec, wcc, cpu.Ideal{})
+		stDmin, err := s.runOnce(rec, wcc, cpu.Ideal{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,11 @@
 package profiler
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"smtflex/internal/config"
 	"smtflex/internal/interval"
@@ -229,4 +232,35 @@ func TestWritebackFractionBounded(t *testing.T) {
 			t.Fatalf("%s writeback fraction %g out of bounds", name, p.WritebackFraction)
 		}
 	}
+}
+
+// TestRecordingPerProfileIsDropped checks that a profile records its stream
+// once, Warmup+UopCount µops long, and that nothing keeps the recording
+// once the profile is done.
+func TestRecordingPerProfileIsDropped(t *testing.T) {
+	s := NewSource(3_000)
+	var recorded, dropped atomic.Int32
+	s.recorded = func(r *trace.Recording) {
+		recorded.Add(1)
+		if r.Len() != int(s.Warmup+s.UopCount) {
+			t.Errorf("recording holds %d µops, want %d", r.Len(), s.Warmup+s.UopCount)
+		}
+		runtime.SetFinalizer(r, func(*trace.Recording) { dropped.Add(1) })
+	}
+	sp := spec(t, "gcc")
+	mustProfile(t, s, sp, config.Big)
+	mustProfile(t, s, sp, config.Small)
+	mustProfile(t, s, sp, config.Big) // cached: no new recording
+	if n := recorded.Load(); n != 2 {
+		t.Fatalf("%d recordings for two profiles, want 2", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); dropped.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 recordings still reachable after their profiles", 2-dropped.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	// The source itself stays live: only the recordings may go.
+	runtime.KeepAlive(s)
 }

@@ -124,53 +124,76 @@ func TestResolveRequestID(t *testing.T) {
 	}
 }
 
-func TestDebugTracesRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	req, err := http.NewRequest("POST", ts.URL+"/v1/sweep", strings.NewReader(`{"design":"8m"}`))
+// postTraced POSTs body to path with request ID rid and fails on a non-200.
+func postTraced(t *testing.T, base, path, rid, body string) {
+	t.Helper()
+	req, err := http.NewRequest("POST", base+path, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(requestIDHeader, "trace-me")
+	req.Header.Set(requestIDHeader, rid)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: code=%d", resp.StatusCode)
+		t.Fatalf("%s: code=%d", path, resp.StatusCode)
 	}
+}
 
-	// List: the sweep's trace is buffered, newest first, with its request ID.
-	code, body := getJSON(t, ts.URL+"/debug/traces")
-	if code != http.StatusOK {
-		t.Fatalf("traces: code=%d body=%s", code, body)
-	}
-	var list TracesResponse
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
+// waitForTrace polls /debug/traces until the trace tagged with request ID
+// rid is buffered, and fetches its span tree. The root span ends after the
+// response body is written, so a client can hold its response before the
+// trace reaches the ring.
+func waitForTrace(t *testing.T, base, rid string) (obs.TraceMeta, obs.TraceJSON) {
+	t.Helper()
 	var meta *obs.TraceMeta
-	for i := range list.Traces {
-		if list.Traces[i].RequestID == "trace-me" {
-			meta = &list.Traces[i]
-			break
+	for deadline := time.Now().Add(5 * time.Second); meta == nil; {
+		code, body := getJSON(t, base+"/debug/traces")
+		if code != http.StatusOK {
+			t.Fatalf("traces: code=%d body=%s", code, body)
+		}
+		var list TracesResponse
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		for i := range list.Traces {
+			if list.Traces[i].RequestID == rid {
+				meta = &list.Traces[i]
+				break
+			}
+		}
+		if meta == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("trace %s not in buffer: %+v", rid, list.Traces)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	if meta == nil {
-		t.Fatalf("sweep trace not in buffer: %+v", list.Traces)
-	}
-	if meta.Name != "/v1/sweep" || meta.Spans == 0 || meta.DurNs <= 0 {
-		t.Fatalf("trace meta: %+v", meta)
-	}
-
-	// Fetch by ID: the full span tree, rooted at the route span.
-	code, body = getJSON(t, ts.URL+"/debug/traces/"+meta.ID)
+	code, body := getJSON(t, base+"/debug/traces/"+meta.ID)
 	if code != http.StatusOK {
 		t.Fatalf("trace by id: code=%d body=%s", code, body)
 	}
 	var tr obs.TraceJSON
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
+	}
+	return *meta, tr
+}
+
+func TestDebugTracesRoundTrip(t *testing.T) {
+	// A simulator of its own, so the sweep misses the cache and its trace
+	// holds a memo.get span; the numbers do not matter here, so it runs at
+	// a small fidelity.
+	_, ts := newTestServer(t, Config{Sim: core.NewSimulator(core.WithUopCount(5_000), core.WithMixesPerCount(1))})
+	postTraced(t, ts.URL, "/v1/sweep", "trace-me", `{"design":"8m"}`)
+
+	// List: the sweep's trace is buffered with its request ID. Fetch by ID:
+	// the full span tree, rooted at the route span.
+	meta, tr := waitForTrace(t, ts.URL, "trace-me")
+	if meta.Name != "/v1/sweep" || meta.Spans == 0 || meta.DurNs <= 0 {
+		t.Fatalf("trace meta: %+v", meta)
 	}
 	if tr.ID != meta.ID || len(tr.Spans) != meta.Spans {
 		t.Fatalf("trace json %s/%d spans, want %s/%d", tr.ID, len(tr.Spans), meta.ID, meta.Spans)
@@ -186,7 +209,7 @@ func TestDebugTracesRoundTrip(t *testing.T) {
 	}
 
 	// Chrome export: valid trace-event JSON with one event per span.
-	code, body = getJSON(t, ts.URL+"/debug/traces/"+meta.ID+"?format=chrome")
+	code, body := getJSON(t, ts.URL+"/debug/traces/"+meta.ID+"?format=chrome")
 	if code != http.StatusOK {
 		t.Fatalf("chrome export: code=%d", code)
 	}
@@ -204,6 +227,24 @@ func TestDebugTracesRoundTrip(t *testing.T) {
 	}
 	if code, _ := getJSON(t, ts.URL+"/debug/traces/"+meta.ID+"?format=svg"); code != http.StatusBadRequest {
 		t.Fatalf("unknown format: code=%d", code)
+	}
+}
+
+// TestPlaceTraceHasOnePlacement holds /v1/place to one placement per
+// request: the evaluation places the mix, and the handler reads the cores
+// back from its threads instead of placing again.
+func TestPlaceTraceHasOnePlacement(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	postTraced(t, ts.URL, "/v1/place", "place-once", `{"design":"3B5s","programs":["mcf","tonto","gcc"]}`)
+	_, tr := waitForTrace(t, ts.URL, "place-once")
+	places := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == "sched.place" {
+			places++
+		}
+	}
+	if places != 1 {
+		t.Fatalf("/v1/place trace holds %d sched.place spans, want 1", places)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -149,17 +150,28 @@ func (s *Server) handlePerfRing(w http.ResponseWriter, _ *http.Request) {
 
 // StartPerfLoops launches the configured background loops: the continuous
 // profiling ring (ProfInterval > 0) and the drift watcher (PerfBaseline
-// set). Both stop when ctx is cancelled. Safe to call once at startup;
-// a daemon with neither configured starts nothing.
-func (s *Server) StartPerfLoops(ctx context.Context) {
+// set). Both stop when ctx is cancelled; wait blocks until they have
+// returned, so no capture or snapshot write outlives the caller. Safe to
+// call once at startup; a daemon with neither configured starts nothing.
+func (s *Server) StartPerfLoops(ctx context.Context) (wait func()) {
+	var wg sync.WaitGroup
 	if s.perf.interval > 0 {
-		go s.perf.ring.Run(ctx, s.perf.interval, profileWindow(s.perf.interval))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.perf.ring.Run(ctx, s.perf.interval, profileWindow(s.perf.interval))
+		}()
 		s.log.Info("continuous profiling armed", "interval", s.perf.interval, "ring", perfdiff.DefaultProfRingCap)
 	}
 	if s.perf.drift != nil {
-		go s.driftLoop(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.driftLoop(ctx)
+		}()
 		s.log.Info("perf drift watcher armed", "interval", s.perf.driftInterval, "dump_dir", s.perf.dumpDir)
 	}
+	return wg.Wait
 }
 
 // driftLoop periodically compares live engine histograms against the armed

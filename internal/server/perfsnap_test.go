@@ -168,8 +168,10 @@ func TestDriftLoopCapturesSnapshot(t *testing.T) {
 		s.solverIters.Observe(200)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.StartPerfLoops(ctx)
+	wait := s.StartPerfLoops(ctx)
+	// Stop the loop and wait for it before the temp dir is removed: it may
+	// be writing another snapshot there.
+	defer func() { cancel(); wait() }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for s.perf.dumps.Load() == 0 {
@@ -222,8 +224,8 @@ func TestDriftLoopQuietWhenWithinTolerance(t *testing.T) {
 	// Live state matches the baseline: no drift, no dumps.
 	s.solverIters.Observe(200)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.StartPerfLoops(ctx)
+	wait := s.StartPerfLoops(ctx)
+	defer func() { cancel(); wait() }()
 	time.Sleep(50 * time.Millisecond)
 	if n := s.perf.drifts.Load(); n != 0 {
 		t.Errorf("drifts %d on matching state", n)

@@ -49,7 +49,6 @@ import (
 	"smtflex/internal/memo"
 	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
-	"smtflex/internal/sched"
 	"smtflex/internal/study"
 	"smtflex/internal/timeline"
 	"smtflex/internal/trace"
@@ -709,17 +708,18 @@ func (s *Server) handlePlace(ctx context.Context, r *http.Request) (any, error) 
 		return nil, err
 	}
 	mix := workload.Mix{ID: "api", Programs: req.Programs}
-	placement, err := sched.PlaceCtx(ctx, d, mix, s.sim.Source())
-	if err != nil {
-		return nil, err
-	}
+	// The evaluation places the mix itself; its threads carry the cores.
 	res, err := s.study().EvaluateMixCtx(ctx, d, mix)
 	if err != nil {
 		return nil, err
 	}
+	coreOf := make([]int, len(res.Threads))
+	for i, th := range res.Threads {
+		coreOf[i] = th.Core
+	}
 	resp := PlaceResponse{
 		Design:         d.Name,
-		CoreOf:         append([]int(nil), placement.CoreOf...),
+		CoreOf:         coreOf,
 		STP:            res.STP,
 		ANTT:           res.ANTT,
 		Watts:          res.Watts,

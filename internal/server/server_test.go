@@ -17,6 +17,7 @@ import (
 
 	"smtflex/internal/config"
 	"smtflex/internal/core"
+	"smtflex/internal/sched"
 	"smtflex/internal/study"
 	"smtflex/internal/timeline"
 	"smtflex/internal/workload"
@@ -250,6 +251,44 @@ func TestPlace(t *testing.T) {
 	}
 	if got.STP <= 0 || got.ANTT < 1 || got.Watts <= 0 {
 		t.Fatalf("implausible metrics: %+v", got)
+	}
+}
+
+// TestPlaceCoreOfMatchesSched checks that the cores /v1/place reports,
+// read from the evaluation's threads, are sched.Place's assignment.
+func TestPlaceCoreOfMatchesSched(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mixes := [][]string{
+		{"mcf"},
+		{"tonto", "libquantum", "gcc"},
+		{"hmmer", "hmmer", "soplex", "bzip2", "omnetpp", "sjeng", "gobmk"},
+	}
+	for _, name := range []string{"4B", "3B5s", "1B6m", "20s"} {
+		d, err := config.DesignByName(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, progs := range mixes {
+			body, err := json.Marshal(PlaceRequest{Design: name, Programs: progs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, raw, _ := postJSON(t, ts.URL+"/v1/place", string(body))
+			if code != http.StatusOK {
+				t.Fatalf("%s %v: code=%d body=%s", name, progs, code, raw)
+			}
+			var got PlaceResponse
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := sched.Place(d, workload.Mix{ID: "api", Programs: progs}, sharedSim().Source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got.CoreOf) != fmt.Sprint(want.CoreOf) {
+				t.Errorf("%s %v: CoreOf %v, sched.Place %v", name, progs, got.CoreOf, want.CoreOf)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smtflex/internal/faults"
 )
@@ -29,12 +30,38 @@ func TestRunIndexedContainsPanicSerial(t *testing.T) {
 	}
 }
 
+// formatted is a panic value that closes itself when the pool formats it
+// into the task's error, which the pool does after building the stack trace.
+type formatted chan struct{}
+
+func (c formatted) String() string {
+	select {
+	case <-c:
+	default:
+		close(c)
+	}
+	return "task exploded"
+}
+
 func TestRunIndexedContainsPanicParallel(t *testing.T) {
 	var ran atomic.Int64
+	gate := make(formatted)
 	err := runIndexed(context.Background(), 4, 32, nil, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 5 {
-			panic(i)
+			panic(gate)
+		}
+		// Tasks 6-8, one per other worker, hold their workers until the
+		// panic is being turned into an error; otherwise those workers can
+		// finish every trivial task while the stack trace is built, and
+		// the pool's stop is never seen. A worker that still outruns the
+		// panicking one's last steps to the stop flag and starts a later
+		// task waits there, long enough for the flag to be set.
+		if i > 5 {
+			<-gate
+		}
+		if i > 8 {
+			time.Sleep(250 * time.Millisecond)
 		}
 		return nil
 	})

@@ -227,6 +227,14 @@ func (g *Generator) Reset() {
 	}
 }
 
+// clone returns an independent generator at the same stream position. The
+// slices Reset builds are read-only afterwards, except the stream cursors.
+func (g *Generator) clone() *Generator {
+	c := *g
+	c.cursor = append([]uint64(nil), g.cursor...)
+	return &c
+}
+
 func (g *Generator) sampleClass() isa.Class {
 	f := g.rng.float()
 	for i := isa.Class(0); i < isa.NumClasses; i++ {
@@ -247,13 +255,16 @@ func (g *Generator) sampleStream() int {
 	return len(g.streamCDF) - 1
 }
 
+// maxDepDist caps the dependency distances the generator draws.
+const maxDepDist = 512
+
 // depDist draws a geometric dependency distance with the spec's mean.
 func (g *Generator) depDist() int32 {
 	mean := g.spec.MeanDepDist
 	// Geometric with success prob 1/mean, minimum 1.
 	p := 1 / mean
 	d := 1
-	for g.rng.float() > p && d < 512 {
+	for g.rng.float() > p && d < maxDepDist {
 		d++
 	}
 	return int32(d)

@@ -288,3 +288,23 @@ func TestDeterminismProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecordingByteBudget holds the packed format to eight bytes per µop
+// plus eight per memory µop.
+func TestRecordingByteBudget(t *testing.T) {
+	const n = 30_000
+	rec, err := Record(testSpec(), 1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustGen(t, testSpec(), 1)
+	mem := 0
+	for i := 0; i < n; i++ {
+		if g.Next().Class.IsMem() {
+			mem++
+		}
+	}
+	if got, budget := 8*(cap(rec.words)+cap(rec.addrs)), 8*n+8*mem; got > budget {
+		t.Errorf("recording takes %d bytes, budget %d", got, budget)
+	}
+}

@@ -47,8 +47,38 @@ const (
 	mb = 1 << 20
 )
 
-// Benchmarks returns the twelve benchmark specifications, sorted by name.
+// suite is the benchmark table, built once and sorted by name; names lists
+// it in the same order. Lookups hand out copies, so no caller can change
+// what the next one reads.
+var (
+	suite = buildSuite()
+	names = func() []string {
+		out := make([]string, len(suite))
+		for i, s := range suite {
+			out[i] = s.Name
+		}
+		return out
+	}()
+)
+
+// Benchmarks returns fresh copies of the twelve benchmark specifications,
+// sorted by name.
 func Benchmarks() []trace.Spec {
+	out := make([]trace.Spec, len(suite))
+	for i, s := range suite {
+		out[i] = clone(s)
+	}
+	return out
+}
+
+// clone copies s deeply enough that changing the copy leaves s alone.
+func clone(s trace.Spec) trace.Spec {
+	s.Streams = append([]trace.MemStream(nil), s.Streams...)
+	return s
+}
+
+// buildSuite returns the twelve benchmark specifications, sorted by name.
+func buildSuite() []trace.Spec {
 	specs := []trace.Spec{
 		{
 			// High-ILP floating-point compute; scales with core width/window.
@@ -228,25 +258,17 @@ func Benchmarks() []trace.Spec {
 	return specs
 }
 
-// ByName returns the named benchmark spec.
+// ByName returns a copy of the named benchmark spec.
 func ByName(name string) (trace.Spec, error) {
-	for _, s := range Benchmarks() {
-		if s.Name == name {
-			return s, nil
-		}
+	i := sort.SearchStrings(names, name)
+	if i == len(names) || names[i] != name {
+		return trace.Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}
-	return trace.Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	return clone(suite[i]), nil
 }
 
 // Names returns the benchmark names in sorted order.
-func Names() []string {
-	bs := Benchmarks()
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Name
-	}
-	return out
-}
+func Names() []string { return append([]string(nil), names...) }
 
 // Mix is one multi-program workload: an ordered list of benchmark names, one
 // per thread.

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
 	"smtflex/internal/isa"
+	"smtflex/internal/trace"
 )
 
 func TestBenchmarksValid(t *testing.T) {
@@ -44,6 +46,54 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("doom"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	for _, want := range Benchmarks() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%s) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	if got := Names(); len(got) != 12 || !sort.StringsAreSorted(got) {
+		t.Errorf("Names() = %v", got)
+	}
+}
+
+// TestByNameReadsOneTable holds lookups to the one table: at most one
+// allocation (the copy of the spec's streams), where rebuilding the suite
+// took sixteen.
+func TestByNameReadsOneTable(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("omnetpp"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ByName allocates %.1f times per call, want at most 1", allocs)
+	}
+}
+
+func TestLookupsReturnCopies(t *testing.T) {
+	a, err := ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Streams[0]
+	a.Streams[0].WorkingSetBytes = 1
+	a.Streams = append(a.Streams, trace.MemStream{Weight: 1})
+	Benchmarks()[0].Streams[0].Weight = 99
+	Names()[0] = "changed"
+	b, err := ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Streams[0] != want || len(b.Streams) != len(a.Streams)-1 {
+		t.Errorf("a caller's change reached the table: %+v", b.Streams)
+	}
+	if bs, ns := Benchmarks(), Names(); bs[0].Streams[0].Weight == 99 || ns[0] == "changed" {
+		t.Errorf("a caller's change reached the table: %+v %v", bs[0].Streams[0], ns[0])
 	}
 }
 
