@@ -179,7 +179,7 @@ func publishMachStats(p Placement, res Result) {
 // pipeline and the per-thread time share. Without SMT, one thread runs at a
 // time; with SMT, up to SMTContexts run concurrently and any excess
 // time-shares the contexts.
-func smtOccupancy(cc config.Core, smtEnabled bool, nThreads int) (coRunners int, timeShare float64) {
+func smtOccupancy(cc *config.Core, smtEnabled bool, nThreads int) (coRunners int, timeShare float64) {
 	if !smtEnabled {
 		return 1, 1 / float64(nThreads)
 	}
@@ -224,8 +224,9 @@ func finiteState(scalar float64, a, b, c, d []float64) bool {
 	return true
 }
 
-// finite reports whether v is neither NaN nor ±Inf.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// finite reports whether v is neither NaN nor ±Inf: one comparison, which
+// NaN and both infinities fail.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // normalizeShares rescales all entries so they sum to capacity.
 func normalizeShares(shares []float64, capacity float64) {

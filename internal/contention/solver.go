@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"smtflex/internal/config"
 	"smtflex/internal/faults"
@@ -28,24 +29,21 @@ type Solver struct {
 	group [][]int
 	// Fixed-point state, one entry per thread.
 	rate, llcShare, l1dShare, l2Share, l1iShare []float64
-	// Previous-iteration state for the convergence residual.
+	// Previous-iteration state for the convergence test.
 	prevRate, prevLLC, prevL1D, prevL2 []float64
 	// weights holds the LLC allocation weights (hoisted out of the
 	// iteration loop — the seed engine rebuilt it every iteration).
 	weights []float64
-	// cacheW, ipcs and timeShare are the per-core inner-loop buffers.
-	cacheW, ipcs, timeShare []float64
+	// inv holds each thread's solve-invariant evaluation terms.
+	inv []interval.Invariant
+	// mL1, mL2 and mLLC are each thread's raw data miss ratios at its
+	// L1D, L1D+L2 and L1D+L2+LLC capacities in the current iteration.
+	mL1, mL2, mLLC []float64
+	// cacheW and ipcs are the per-core inner-loop buffers.
+	cacheW, ipcs []float64
 	// threads and coreUtil back the returned Result.
 	threads  []ThreadResult
 	coreUtil []float64
-	// distinct is shareCaches' benchmark-dedup set, cleared per use.
-	distinct map[string]bool
-	// quant caches quantized profile copies keyed by source profile, so a
-	// sweep quantizes each profile once, not once per solve.
-	quant  map[*interval.Profile]*interval.Profile
-	quantN int
-	// quantProfiles is the scratch profile slice for quantized placements.
-	quantProfiles []*interval.Profile
 }
 
 // NewSolver returns a Solver ready for repeated use.
@@ -87,11 +85,11 @@ func growF(buf []float64, n int) []float64 {
 	return buf
 }
 
-// scratchF returns buf with length n and unspecified contents (every caller
+// scratch returns buf with length n and unspecified contents (every caller
 // writes before reading), reusing the backing array when possible.
-func scratchF(buf []float64, n int) []float64 {
+func scratch[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -107,16 +105,20 @@ func (s *Solver) prepare(n, nCores int) {
 	for c := range s.group {
 		s.group[c] = s.group[c][:0]
 	}
-	s.rate = scratchF(s.rate, n)
+	s.rate = scratch(s.rate, n)
 	s.llcShare = growF(s.llcShare, n)
 	s.l1dShare = growF(s.l1dShare, n)
 	s.l2Share = growF(s.l2Share, n)
-	s.l1iShare = growF(s.l1iShare, n)
-	s.prevRate = scratchF(s.prevRate, n)
-	s.prevLLC = scratchF(s.prevLLC, n)
-	s.prevL1D = scratchF(s.prevL1D, n)
-	s.prevL2 = scratchF(s.prevL2, n)
-	s.weights = scratchF(s.weights, n)
+	s.l1iShare = scratch(s.l1iShare, n)
+	s.prevRate = scratch(s.prevRate, n)
+	s.prevLLC = scratch(s.prevLLC, n)
+	s.prevL1D = scratch(s.prevL1D, n)
+	s.prevL2 = scratch(s.prevL2, n)
+	s.weights = scratch(s.weights, n)
+	s.inv = scratch(s.inv, n)
+	s.mL1 = scratch(s.mL1, n)
+	s.mL2 = scratch(s.mL2, n)
+	s.mLLC = scratch(s.mLLC, n)
 	if cap(s.threads) < n {
 		s.threads = make([]ThreadResult, n)
 	}
@@ -127,43 +129,18 @@ func (s *Solver) prepare(n, nCores int) {
 	s.coreUtil = growF(s.coreUtil, nCores)
 }
 
-// quantize swaps each profile for its n-point quantized copy when the model
-// asks for table-lookup curves, memoizing copies so a sweep pays the
-// quantization once per profile.
-func (s *Solver) quantize(p Placement, m Model) Placement {
-	if m.QuantizeCurves <= 0 {
-		return p
-	}
-	if s.quant == nil || s.quantN != m.QuantizeCurves {
-		s.quant = make(map[*interval.Profile]*interval.Profile)
-		s.quantN = m.QuantizeCurves
-	}
-	if cap(s.quantProfiles) < len(p.Profiles) {
-		s.quantProfiles = make([]*interval.Profile, len(p.Profiles))
-	}
-	profs := s.quantProfiles[:len(p.Profiles)]
-	for i, prof := range p.Profiles {
-		q, ok := s.quant[prof]
-		if !ok {
-			q = prof.Quantized(m.QuantizeCurves)
-			s.quant[prof] = q
-		}
-		profs[i] = q
-	}
-	out := p
-	out.Profiles = profs
-	return out
-}
-
 // SolveModel iterates to a fixed point with explicit model choices. The
 // arithmetic and iteration order are exactly the seed engine's — results are
-// bit-identical — only the buffer lifetimes differ.
+// bit-identical — but each iteration does only the work that can change:
+// a thread's core, ROB partition and I-cache share are fixed by the
+// placement, so their evaluation terms are computed once per solve (see
+// interval.Invariant), and each data-curve lookup is made once per
+// iteration and shared by every step that reads it.
 func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
 	p = m.flatten(p)
-	p = s.quantize(p, m)
 	n := len(p.CoreOf)
 	s.prepare(n, len(p.Design.Cores))
 	res := Result{
@@ -177,55 +154,55 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	}
 
 	// Per-core thread groups.
+	cores := p.Design.Cores
 	group := s.group
 	for i, c := range p.CoreOf {
 		group[c] = append(group[c], i)
 	}
+	s.setInvariants(p)
 
 	// State: absolute rates (µops/ns), initialized optimistically.
 	rate := s.rate
-	for i := range rate {
-		cc := p.Design.Cores[p.CoreOf[i]]
+	for i, c := range p.CoreOf {
+		cc := &cores[c]
 		rate[i] = float64(cc.Width) * cc.FrequencyGHz / 2
 	}
 	llcShare := s.llcShare
 	l1dShare := s.l1dShare
 	l2Share := s.l2Share
-	l1iShare := s.l1iShare
+	inv, mL1, mL2, mLLC := s.inv, s.mL1, s.mL2, s.mLLC
 
 	llcBytes := float64(p.Design.LLC.SizeBytes)
 	memLatNs := m.memLatency(0, p.Design.MemBandwidthGBps)
 
 	f := m.dampFactor()
 	maxIter := m.maxIterations()
-	prevRate := s.prevRate
-	prevLLC := s.prevLLC
-	prevL1D := s.prevL1D
-	prevL2 := s.prevL2
 	weights := s.weights
 
 	for iter := 0; iter < maxIter; iter++ {
 		if err := faults.Check(faults.SiteSolver); err != nil {
 			return Result{}, fmt.Errorf("contention: iteration %d: %w", iter, err)
 		}
-		copy(prevRate, rate)
-		copy(prevLLC, llcShare)
-		copy(prevL1D, l1dShare)
-		copy(prevL2, l2Share)
+		copy(s.prevRate, rate)
+		copy(s.prevLLC, llcShare)
+		copy(s.prevL1D, l1dShare)
+		copy(s.prevL2, l2Share)
 		prevMemLat := memLatNs
 
 		// --- Private cache shares within each core (allocation-weighted) ---
 		for c, ths := range group {
-			cc := p.Design.Cores[c]
-			s.shareCaches(p, ths, rate, cc, l1iShare, l1dShare, l2Share, llcShare, memLatNs, f)
+			s.shareCaches(p, ths, &cores[c], f)
 		}
 
 		// --- LLC shares across all threads (allocation-weighted) ---
+		// The private shares are final for this iteration, so the L1D and
+		// L1D+L2 lookups made here serve the CPI stacks below as well.
 		var wsum float64
 		for i := range weights {
-			cc := p.Design.Cores[p.CoreOf[i]]
-			sh := interval.Shares{L1I: l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
-			weights[i] = p.Profiles[i].LLCAccessesPerUop(sh) * rate[i]
+			prof := p.Profiles[i]
+			mL1[i] = prof.DataMissAt(l1dShare[i])
+			mL2[i] = prof.DataMissAt(l1dShare[i] + l2Share[i])
+			weights[i] = inv[i].DataPerUop * mL2[i] * rate[i]
 			wsum += weights[i]
 		}
 		floor := 0.05 / float64(n)
@@ -247,9 +224,9 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		// --- Memory traffic and latency (fills plus writebacks) ---
 		var traffic float64 // blocks per ns
 		for i := range rate {
-			cc := p.Design.Cores[p.CoreOf[i]]
-			sh := interval.Shares{L1I: l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
-			traffic += p.Profiles[i].DRAMAccessesPerUop(sh) * (1 + p.Profiles[i].WritebackFraction) * rate[i]
+			prof := p.Profiles[i]
+			mLLC[i] = prof.DataMissAt(l1dShare[i] + l2Share[i] + llcShare[i])
+			traffic += inv[i].DataPerUop * mLLC[i] * (1 + prof.WritebackFraction) * rate[i]
 		}
 		memLatNs = damp(memLatNs, m.memLatency(traffic, p.Design.MemBandwidthGBps), f)
 		memLatNs = faults.Corrupt(faults.SiteSolver, memLatNs)
@@ -259,50 +236,50 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 			if len(ths) == 0 {
 				continue
 			}
-			cc := p.Design.Cores[c]
-			ipcs := scratchF(s.ipcs, len(ths))
-			timeShare := scratchF(s.timeShare, len(ths))
-			s.ipcs, s.timeShare = ipcs, timeShare
+			cc := &cores[c]
+			ipcs := scratch(s.ipcs, len(ths))
+			s.ipcs = ipcs
 			coRunners, tshare := smtOccupancy(cc, p.Design.SMTEnabled, len(ths))
-			part := interval.Partition(cc, coRunners)
+			memLatCycles := memLatNs * cc.FrequencyGHz
 			for k, ti := range ths {
-				sh := interval.Shares{
-					L1I: l1iShare[ti], L1D: l1dShare[ti], L2: l2Share[ti], LLC: llcShare[ti],
-					MemLatencyCycles: memLatNs * cc.FrequencyGHz,
-				}
-				st := p.Profiles[ti].Evaluate(cc, part, sh)
-				res.Threads[ti].Stack = st
-				res.Threads[ti].Shares = sh
+				st := &res.Threads[ti].Stack
+				*st = inv[ti].Stack(mL1[ti], mL2[ti], mLLC[ti], memLatCycles)
 				ipcs[k] = 1 / st.Total()
-				timeShare[k] = tshare
 			}
 			if p.Design.SMTEnabled && coRunners > 1 {
 				interval.ShareWidthEff(ipcs, cc.Width, m.effIssue())
 			}
 			for k, ti := range ths {
 				res.Threads[ti].IPC = ipcs[k]
-				res.Threads[ti].TimeShare = timeShare[k]
-				rate[ti] = damp(rate[ti], ipcs[k]*timeShare[k]*cc.FrequencyGHz, f)
+				res.Threads[ti].TimeShare = tshare
+				rate[ti] = damp(rate[ti], ipcs[k]*tshare*cc.FrequencyGHz, f)
 			}
 		}
 
-		// --- Convergence diagnostics over all damped state ---
-		residual := relChange(prevMemLat, memLatNs)
-		for i := 0; i < n; i++ {
-			residual = math.Max(residual, relChange(prevRate[i], rate[i]))
-			residual = math.Max(residual, relChange(prevLLC[i], llcShare[i]))
-			residual = math.Max(residual, relChange(prevL1D[i], l1dShare[i]))
-			residual = math.Max(residual, relChange(prevL2[i], l2Share[i]))
-		}
+		// --- Convergence over all damped state ---
+		// The relative residual is computed only where it is reported or
+		// tested: a positive tolerance, the last budgeted iteration and a
+		// non-finite state. On finite state the zero-tolerance test
+		// "residual <= 0" holds exactly when nothing changed, which an
+		// equality scan decides without the divisions.
 		res.Diag.Iterations = iter + 1
-		res.Diag.Residual = residual
-		if !finiteState(memLatNs, rate, llcShare, l1dShare, l2Share) {
+		finite := finiteState(memLatNs, rate, llcShare, l1dShare, l2Share)
+		converged := false
+		switch {
+		case m.Tolerance > 0 || iter == maxIter-1 || !finite:
+			res.Diag.Residual = s.residual(prevMemLat, memLatNs)
+			converged = res.Diag.Residual <= m.Tolerance
+		case m.Tolerance == 0 && s.unchanged(prevMemLat, memLatNs):
+			res.Diag.Residual = 0
+			converged = true
+		}
+		if !finite {
 			return Result{Diag: res.Diag}, fmt.Errorf("%w: non-finite state after iteration %d", ErrDiverged, iter+1)
 		}
 		// With the default zero tolerance this fires only when an iteration
 		// changed nothing at all, so stopping here is bit-identical to
 		// running out the full budget.
-		if residual <= m.Tolerance {
+		if converged {
 			res.Diag.Converged = true
 			break
 		}
@@ -312,13 +289,19 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 			ErrNotConverged, res.Diag.Residual, res.Diag.Iterations, m.Tolerance)
 	}
 
-	// Finalize.
+	// Finalize. The last iteration's L1D+L2+LLC lookup is the final
+	// shares' DRAM miss ratio.
 	var traffic float64
-	for i := range res.Threads {
-		cc := p.Design.Cores[p.CoreOf[i]]
-		res.Threads[i].UopsPerNs = rate[i]
-		res.CoreUtilization[p.CoreOf[i]] += res.Threads[i].IPC * res.Threads[i].TimeShare / float64(cc.Width)
-		traffic += p.Profiles[i].DRAMAccessesPerUop(res.Threads[i].Shares) * (1 + p.Profiles[i].WritebackFraction) * rate[i]
+	for i, c := range p.CoreOf {
+		cc := &cores[c]
+		th := &res.Threads[i]
+		th.UopsPerNs = rate[i]
+		th.Shares = interval.Shares{
+			L1I: s.l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i],
+			MemLatencyCycles: memLatNs * cc.FrequencyGHz,
+		}
+		res.CoreUtilization[c] += th.IPC * th.TimeShare / float64(cc.Width)
+		traffic += inv[i].DataPerUop * mLLC[i] * (1 + p.Profiles[i].WritebackFraction) * rate[i]
 	}
 	res.MemLatencyNs = memLatNs
 	res.BusUtilization = math.Min(traffic*blockBytes/p.Design.MemBandwidthGBps, 1)
@@ -326,42 +309,102 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	return res, nil
 }
 
-// shareCaches distributes the core-private cache capacities among the
+// setInvariants fixes each thread's I-cache share and computes its
+// solve-invariant evaluation terms at its core's ROB partition. The I-cache
+// is shared by *code*, not by thread: co-runners executing the same
+// benchmark fetch the same instructions, so on an SMT core the capacity
+// splits across distinct benchmarks, not across threads. Without SMT each
+// time-shared thread uses the full capacity during its slice.
+func (s *Solver) setInvariants(p Placement) {
+	smt := p.Design.SMTEnabled
+	for c, ths := range s.group {
+		if len(ths) == 0 {
+			continue
+		}
+		cc := &p.Design.Cores[c]
+		coRunners, _ := smtOccupancy(cc, smt, len(ths))
+		part := interval.Partition(*cc, coRunners)
+		iShare := float64(cc.L1I.SizeBytes)
+		if smt && len(ths) > 1 {
+			iShare /= float64(distinctBenchmarks(p, ths))
+		}
+		for _, ti := range ths {
+			s.l1iShare[ti] = iShare
+			s.inv[ti] = p.Profiles[ti].Invariant(cc, part, iShare)
+		}
+	}
+}
+
+// distinctBenchmarks counts the different benchmarks among the threads.
+func distinctBenchmarks(p Placement, ths []int) int {
+	n := 0
+	for k, ti := range ths {
+		seen := false
+		for _, tj := range ths[:k] {
+			if p.Profiles[tj].Benchmark == p.Profiles[ti].Benchmark {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			n++
+		}
+	}
+	return n
+}
+
+// residual returns the iteration's largest relative change of any damped
+// state variable.
+func (s *Solver) residual(prevMemLat, memLat float64) float64 {
+	r := relChange(prevMemLat, memLat)
+	for i := range s.rate {
+		r = math.Max(r, relChange(s.prevRate[i], s.rate[i]))
+		r = math.Max(r, relChange(s.prevLLC[i], s.llcShare[i]))
+		r = math.Max(r, relChange(s.prevL1D[i], s.l1dShare[i]))
+		r = math.Max(r, relChange(s.prevL2[i], s.l2Share[i]))
+	}
+	return r
+}
+
+// unchanged reports whether the iteration left every damped state variable
+// exactly as it found it.
+func (s *Solver) unchanged(prevMemLat, memLat float64) bool {
+	return prevMemLat == memLat &&
+		slices.Equal(s.prevRate, s.rate) && slices.Equal(s.prevLLC, s.llcShare) &&
+		slices.Equal(s.prevL1D, s.l1dShare) && slices.Equal(s.prevL2, s.l2Share)
+}
+
+// shareCaches distributes the core-private data-cache capacities among the
 // threads on one core, weighted by each thread's allocation rate into the
 // cache (misses per ns), with a floor so no thread is starved to zero.
 // Without SMT each time-shared thread uses the full capacity during its
 // slice.
-func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.Core,
-	l1iShare, l1dShare, l2Share, llcShare []float64, memLatNs, f float64) {
+func (s *Solver) shareCaches(p Placement, ths []int, cc *config.Core, f float64) {
 	if len(ths) == 0 {
 		return
 	}
-	full := func(ti int) {
-		l1iShare[ti] = float64(cc.L1I.SizeBytes)
-		l1dShare[ti] = float64(cc.L1D.SizeBytes)
-		l2Share[ti] = float64(cc.L2.SizeBytes)
-	}
+	l1dShare, l2Share := s.l1dShare, s.l2Share
 	if !p.Design.SMTEnabled || len(ths) == 1 {
 		for _, ti := range ths {
-			full(ti)
+			l1dShare[ti] = float64(cc.L1D.SizeBytes)
+			l2Share[ti] = float64(cc.L2.SizeBytes)
 		}
 		return
 	}
 	// Allocation weights: misses into L1D per ns approximate occupancy
-	// pressure at every private level.
+	// pressure at every private level. A thread's L1D share has not moved
+	// since the previous iteration looked its miss ratio up; the first
+	// iteration seeds an equal split.
 	n := len(ths)
-	w := scratchF(s.cacheW, n)
+	w := scratch(s.cacheW, n)
 	s.cacheW = w
 	var sum float64
 	for k, ti := range ths {
-		sh := interval.Shares{L1I: l1iShare[ti], L1D: l1dShare[ti], L2: l2Share[ti], LLC: llcShare[ti], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
-		if sh.L1D == 0 { // first iteration: seed with equal split
-			sh.L1D = float64(cc.L1D.SizeBytes) / float64(n)
-			sh.L2 = float64(cc.L2.SizeBytes) / float64(n)
-			sh.LLC = 1 << 20
+		miss := s.mL1[ti]
+		if l1dShare[ti] == 0 {
+			miss = p.Profiles[ti].DataMissAt(float64(cc.L1D.SizeBytes) / float64(n))
 		}
-		miss := p.Profiles[ti].DMissAt(sh.L1D / 64)
-		w[k] = p.Profiles[ti].DataAPKU / 1000 * miss * rate[ti]
+		w[k] = s.inv[ti].DataPerUop * miss * s.rate[ti]
 		sum += w[k]
 	}
 	floor := 0.08 / float64(n)
@@ -378,19 +421,4 @@ func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.C
 	}
 	normalizeSlice(l1dShare, ths, float64(cc.L1D.SizeBytes))
 	normalizeSlice(l2Share, ths, float64(cc.L2.SizeBytes))
-
-	// The I-cache is shared by *code*, not by thread: co-runners executing
-	// the same benchmark fetch the same instructions, so the capacity splits
-	// across distinct benchmarks, not across threads.
-	if s.distinct == nil {
-		s.distinct = make(map[string]bool)
-	}
-	clear(s.distinct)
-	for _, ti := range ths {
-		s.distinct[p.Profiles[ti].Benchmark] = true
-	}
-	iShare := float64(cc.L1I.SizeBytes) / float64(len(s.distinct))
-	for _, ti := range ths {
-		l1iShare[ti] = iShare
-	}
 }

@@ -81,46 +81,14 @@ type Profile struct {
 	// BaselineMemCPI is the measured memory-hierarchy CPI at calibration
 	// (for reporting and tests).
 	BaselineMemCPI float64
-
-	// dtab and itab, when non-nil, replace DCurve/ICurve lookups with the
-	// quantized O(1) tables built by Quantized. They are derived state and
-	// deliberately unexported: JSON round-trips (checkpoint sidecars, saved
-	// profiles) carry only the exact curves, and a freshly decoded profile
-	// uses them until Quantized is called again.
-	dtab, itab *cache.MissTable
 }
 
-// Quantized returns a copy of p whose miss-curve lookups (Evaluate,
-// DMissAt/IMissAt, DRAMAccessesPerUop, LLCAccessesPerUop) go through
-// n-point quantized tables with O(1) At instead of the exact
-// piecewise-linear curves' binary search. The exact curves are retained
-// unchanged. With n >= the number of curve breakpoints the profiler's
-// log-uniform curves quantize losslessly (see cache.MissTable), so results
-// are bit-identical; a smaller n trades accuracy for an even smaller table.
-func (p *Profile) Quantized(n int) *Profile {
-	cp := *p
-	dt, it := p.DCurve.Quantize(n), p.ICurve.Quantize(n)
-	cp.dtab, cp.itab = &dt, &it
-	return &cp
-}
-
-// DMissAt returns the data stream's miss ratio at a capacity in blocks —
-// through the quantized table when armed (see Quantized), the exact DCurve
-// otherwise. The contention solver's inner loop funnels every data-curve
-// lookup through here.
-func (p *Profile) DMissAt(capacityBlocks float64) float64 {
-	if p.dtab != nil {
-		return p.dtab.At(capacityBlocks)
-	}
-	return p.DCurve.At(capacityBlocks)
-}
-
-// IMissAt is DMissAt for the instruction stream's ICurve.
-func (p *Profile) IMissAt(capacityBlocks float64) float64 {
-	if p.itab != nil {
-		return p.itab.At(capacityBlocks)
-	}
-	return p.ICurve.At(capacityBlocks)
+// DataMissAt returns the data stream's raw miss ratio at a cumulative
+// capacity in bytes. Evaluate and the contention solver take every data
+// lookup through here, so a lookup the solver shares between its steps is
+// the same float Evaluate would compute.
+func (p *Profile) DataMissAt(bytes float64) float64 {
+	return p.DCurve.At(blocks(bytes))
 }
 
 // Validate reports structural problems.
@@ -232,57 +200,91 @@ func (p *Profile) VisibleAt(w int) float64 {
 	return p.VisibleMin + f*(p.Visible-p.VisibleMin)
 }
 
-// Evaluate predicts the thread's CPI stack on core cc with ROB partition
-// window w and the given shares. The hierarchy is modelled as capacity
-// thresholds on the data reuse curve: accesses missing in the L1D share go
-// to the L2, those missing in L1D+L2 go to the LLC, and those missing in
-// L1D+L2+LLC go to DRAM.
-func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
-	var st CPIStack
-	st.Base = p.BaseCPI(w)
-	st.Branch = p.BrCPI
-	v := p.VisibleAt(w)
+// Invariant holds the terms of an evaluation that depend only on the core,
+// the ROB partition and the I-cache share: everything except the data-cache
+// shares and the memory latency. Within one contention solve a thread's
+// core, partition and I-cache share never change, so the solver computes
+// these once per thread and Stack once per iteration.
+type Invariant struct {
+	// Base, Branch and ICache are the finished CPI components.
+	Base, Branch, ICache float64
+	// Visible is the visible-latency fraction at the ROB partition.
+	Visible float64
+	// DataPerUop is data accesses (loads+stores) per µop.
+	DataPerUop float64
+	// MemConst is the constant memory CPI charged at the L2 level.
+	MemConst float64
+	// L2Latency and LLCLatency are the L2 and LLC hit latencies in cycles.
+	L2Latency, LLCLatency float64
+}
 
-	// I-cache: rescale the measured baseline contribution by the miss-count
-	// ratio at the thread's I-cache share.
-	baseIMiss := p.IMissAt(blocks(float64(cc.L1I.SizeBytes)))
-	curIMiss := p.IMissAt(blocks(sh.L1I))
+// Invariant computes the solve-invariant terms on core cc with ROB
+// partition window w and an I-cache share of l1iBytes. The I-cache term
+// rescales the measured baseline contribution by the miss-count ratio at
+// the thread's share.
+func (p *Profile) Invariant(cc *config.Core, w int, l1iBytes float64) Invariant {
+	in := Invariant{
+		Base:       p.BaseCPI(w),
+		Branch:     p.BrCPI,
+		Visible:    p.VisibleAt(w),
+		DataPerUop: p.DataAPKU / 1000,
+		MemConst:   p.MemConstCPI,
+		L2Latency:  float64(cc.L2.LatencyCycles),
+		LLCLatency: float64(cc.L2.LatencyCycles + crossbarLatency + 30),
+	}
+	baseIMiss := p.ICurve.At(blocks(float64(cc.L1I.SizeBytes)))
+	curIMiss := p.ICurve.At(blocks(l1iBytes))
 	if baseIMiss > 1e-12 {
-		st.ICache = p.L1ICPI * (curIMiss / baseIMiss)
+		in.ICache = p.L1ICPI * (curIMiss / baseIMiss)
 	} else if curIMiss > 1e-12 {
 		// The baseline had essentially no I-misses; charge raw latency.
-		st.ICache = v * p.IBlockAPKU / 1000 * curIMiss * float64(cc.L2.LatencyCycles)
+		in.ICache = in.Visible * p.IBlockAPKU / 1000 * curIMiss * in.L2Latency
 	}
+	return in
+}
 
-	apu := p.DataAPKU / 1000
-	mL1 := p.DMissAt(blocks(sh.L1D))
-	mL2 := p.DMissAt(blocks(sh.L1D + sh.L2))
-	mLLC := p.DMissAt(blocks(sh.L1D + sh.L2 + sh.LLC))
+// Stack completes the CPI stack from the raw data miss ratios at the L1D,
+// L1D+L2 and L1D+L2+LLC capacities (DataMissAt) and the memory latency in
+// core cycles. The hierarchy is modelled as capacity thresholds on the data
+// reuse curve: accesses missing in the L1D share go to the L2, those
+// missing in L1D+L2 go to the LLC, and those missing in L1D+L2+LLC go to
+// DRAM.
+func (in *Invariant) Stack(mL1, mL2, mLLC, memLatencyCycles float64) CPIStack {
 	// Monotonicity guard: capacities stack, so deeper levels see fewer misses.
 	mL2 = math.Min(mL2, mL1)
 	mLLC = math.Min(mLLC, mL2)
 
-	l2Accesses := apu * mL1
-	llcAccesses := apu * mL2
-	dramAccesses := apu * mLLC
-	st.L2 = v*(l2Accesses-llcAccesses)*float64(cc.L2.LatencyCycles) + p.MemConstCPI
-	st.LLC = v * (llcAccesses - dramAccesses) * float64(cc.L2.LatencyCycles+crossbarLatency+30)
-	st.Mem = v * dramAccesses * (float64(cc.L2.LatencyCycles+crossbarLatency+30) + sh.MemLatencyCycles)
-	return st
+	l2Accesses := in.DataPerUop * mL1
+	llcAccesses := in.DataPerUop * mL2
+	dramAccesses := in.DataPerUop * mLLC
+	v := in.Visible
+	return CPIStack{
+		Base:   in.Base,
+		Branch: in.Branch,
+		ICache: in.ICache,
+		L2:     v*(l2Accesses-llcAccesses)*in.L2Latency + in.MemConst,
+		LLC:    v * (llcAccesses - dramAccesses) * in.LLCLatency,
+		Mem:    v * dramAccesses * (in.LLCLatency + memLatencyCycles),
+	}
+}
+
+// Evaluate predicts the thread's CPI stack on core cc with ROB partition
+// window w and the given shares: the Invariant terms completed by Stack.
+func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
+	in := p.Invariant(&cc, w, sh.L1I)
+	return in.Stack(p.DataMissAt(sh.L1D), p.DataMissAt(sh.L1D+sh.L2),
+		p.DataMissAt(sh.L1D+sh.L2+sh.LLC), sh.MemLatencyCycles)
 }
 
 // DRAMAccessesPerUop returns the thread's DRAM block transfers per µop at
-// the given shares, used by the contention solver to compute bus traffic.
+// the given shares.
 func (p *Profile) DRAMAccessesPerUop(sh Shares) float64 {
-	m := p.DMissAt(blocks(sh.L1D + sh.L2 + sh.LLC))
-	return p.DataAPKU / 1000 * m
+	return p.DataAPKU / 1000 * p.DataMissAt(sh.L1D+sh.L2+sh.LLC)
 }
 
-// LLCAccessesPerUop returns LLC accesses per µop at the given shares, used
-// to weight LLC capacity competition.
+// LLCAccessesPerUop returns LLC accesses per µop at the given shares.
 func (p *Profile) LLCAccessesPerUop(sh Shares) float64 {
-	m := p.DMissAt(blocks(sh.L1D + sh.L2))
-	return p.DataAPKU / 1000 * m
+	return p.DataAPKU / 1000 * p.DataMissAt(sh.L1D+sh.L2)
 }
 
 // SMTIssueEfficiency is the fraction of the core's dispatch width usable

@@ -132,26 +132,3 @@ func clonePlacement(p contention.Placement) contention.Placement {
 	out.Profiles = append([]*interval.Profile(nil), p.Profiles...)
 	return out
 }
-
-// profilesByType resolves each thread's profile for every core type present
-// in the design.
-func profilesByType(d config.Design, mix workload.Mix, src ProfileSource) ([]map[config.CoreType]*interval.Profile, error) {
-	out := make([]map[config.CoreType]*interval.Profile, mix.NumThreads())
-	for i, name := range mix.Programs {
-		spec, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = make(map[config.CoreType]*interval.Profile)
-		for _, cc := range d.Cores {
-			if _, ok := out[i][cc.Type]; !ok {
-				p, err := src.Profile(spec, cc.Type)
-				if err != nil {
-					return nil, err
-				}
-				out[i][cc.Type] = p
-			}
-		}
-	}
-	return out, nil
-}

@@ -62,7 +62,7 @@ func PlaceCtx(ctx context.Context, d config.Design, mix workload.Mix, src Profil
 
 // soloIPC estimates a thread's isolated IPC on core cc with a full window
 // and uncontended memory — the "offline analysis" signal.
-func soloIPC(p *interval.Profile, cc config.Core) float64 {
+func soloIPC(p *interval.Profile, cc *config.Core) float64 {
 	sh := interval.Shares{
 		L1I: float64(cc.L1I.SizeBytes),
 		L1D: float64(cc.L1D.SizeBytes),
@@ -75,7 +75,43 @@ func soloIPC(p *interval.Profile, cc config.Core) float64 {
 	if !cc.OutOfOrder {
 		w = 2 * cc.Width
 	}
-	return 1 / p.Evaluate(cc, w, sh).Total()
+	return 1 / p.Evaluate(*cc, w, sh).Total()
+}
+
+// typeProfiles holds one thread's profile per core type; types absent from
+// the design stay nil.
+type typeProfiles [config.NumCoreTypes]*interval.Profile
+
+// profilesByType resolves each thread's profile for every core type present
+// in the design. Every program name resolves before any profile is
+// requested, so a bad name fails before a cold source measures anything.
+func profilesByType(d config.Design, mix workload.Mix, src ProfileSource) ([]typeProfiles, error) {
+	specs := make([]trace.Spec, mix.NumThreads())
+	for i, name := range mix.Programs {
+		s, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	out := make([]typeProfiles, len(specs))
+	for i, spec := range specs {
+		for c := range d.Cores {
+			t := d.Cores[c].Type
+			if t >= config.NumCoreTypes {
+				return nil, fmt.Errorf("sched: design %s core %d has unknown type %d", d.Name, c, t)
+			}
+			if out[i][t] != nil {
+				continue
+			}
+			p, err := src.Profile(spec, t)
+			if err != nil {
+				return nil, fmt.Errorf("sched: profiling %s on %s: %w", spec.Name, t, err)
+			}
+			out[i][t] = p
+		}
+	}
+	return out, nil
 }
 
 // Place builds a contention.Placement for the mix on the design.
@@ -94,44 +130,25 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	if n == 0 {
 		return contention.Placement{}, fmt.Errorf("sched: empty mix %s", mix.ID)
 	}
-
-	// Resolve specs and profiles per core type present in the design.
-	specs := make([]trace.Spec, n)
-	for i, name := range mix.Programs {
-		s, err := workload.ByName(name)
-		if err != nil {
-			return contention.Placement{}, err
-		}
-		specs[i] = s
-	}
-	types := map[config.CoreType]bool{}
-	for _, cc := range d.Cores {
-		types[cc.Type] = true
-	}
-	prof := make([]map[config.CoreType]*interval.Profile, n)
-	for i := range prof {
-		prof[i] = make(map[config.CoreType]*interval.Profile)
-		for t := range types {
-			p, err := src.Profile(specs[i], t)
-			if err != nil {
-				return contention.Placement{}, fmt.Errorf("sched: profiling %s on %s: %w", specs[i].Name, t, err)
-			}
-			prof[i][t] = p
-		}
+	prof, err := profilesByType(d, mix, src)
+	if err != nil {
+		return contention.Placement{}, err
 	}
 
-	// Offline signal: solo IPC of each thread on each core of the design.
-	ipcOn := make([]map[config.CoreType]float64, n)
-	typeCfg := map[config.CoreType]config.Core{}
-	for _, cc := range d.Cores {
-		if _, ok := typeCfg[cc.Type]; !ok {
-			typeCfg[cc.Type] = cc
+	// Offline signal: solo IPC of each thread on the first core of each
+	// type in the design.
+	var typeCfg [config.NumCoreTypes]*config.Core
+	for c := range d.Cores {
+		if t := d.Cores[c].Type; typeCfg[t] == nil {
+			typeCfg[t] = &d.Cores[c]
 		}
 	}
+	ipcOn := make([][config.NumCoreTypes]float64, n)
 	for i := range ipcOn {
-		ipcOn[i] = make(map[config.CoreType]float64)
 		for t, cc := range typeCfg {
-			ipcOn[i][t] = soloIPC(prof[i][t], cc)
+			if cc != nil {
+				ipcOn[i][t] = soloIPC(prof[i][t], cc)
+			}
 		}
 	}
 
@@ -139,20 +156,25 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	for i := range coreOf {
 		coreOf[i] = -1
 	}
+	// Each core's residents, in arrival order, in one backing array.
+	slots := make([]int, len(d.Cores)*n)
 	perCore := make([][]int, len(d.Cores))
+	for c := range perCore {
+		perCore[c] = slots[c*n : c*n : (c+1)*n]
+	}
 
 	// Phase 1: one thread per core, big cores first. Order threads by how
 	// much they gain from the biggest core type relative to the smallest
 	// present, so big-core-sensitive threads land on big cores.
-	smallest := d.Cores[len(d.Cores)-1].Type
+	biggest, smallest := d.Cores[0].Type, d.Cores[len(d.Cores)-1].Type
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ta, tb := order[a], order[b]
-		ra := ipcOn[ta][d.Cores[0].Type] / ipcOn[ta][smallest]
-		rb := ipcOn[tb][d.Cores[0].Type] / ipcOn[tb][smallest]
+		ra := ipcOn[ta][biggest] / ipcOn[ta][smallest]
+		rb := ipcOn[tb][biggest] / ipcOn[tb][smallest]
 		return ra > rb
 	})
 	phase1 := n
@@ -168,20 +190,32 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	// Phase 2: place remaining threads by best marginal throughput. The
 	// tiny occupancy penalty breaks exact ties (identical threads under
 	// time sharing have zero marginal gain everywhere) toward the least
-	// loaded core, i.e. round-robin.
-	const tieBreak = 1e-6
-	for k := phase1; k < n; k++ {
-		ti := order[k]
-		best, bestGain := -1, 0.0
-		for c := 0; c < len(d.Cores); c++ {
-			gain := marginalGain(d, c, perCore[c], ti, ipcOn, prof) -
-				tieBreak*float64(len(perCore[c]))
-			if best < 0 || gain > bestGain {
-				best, bestGain = c, gain
-			}
+	// loaded core, i.e. round-robin. A core's throughput changes only when
+	// it gains a thread, so each core's current value is kept, and the
+	// candidate that wins becomes its core's new current value.
+	if phase1 < n {
+		const tieBreak = 1e-6
+		e := newEstimator(d, prof, ipcOn)
+		before := make([]float64, len(d.Cores))
+		after := make([]float64, len(d.Cores))
+		for c := range d.Cores {
+			before[c] = e.throughput(c, perCore[c])
 		}
-		coreOf[ti] = best
-		perCore[best] = append(perCore[best], ti)
+		for k := phase1; k < n; k++ {
+			ti := order[k]
+			best, bestGain := -1, 0.0
+			for c := range d.Cores {
+				e.ths = append(append(e.ths[:0], perCore[c]...), ti)
+				after[c] = e.throughput(c, e.ths)
+				gain := after[c] - before[c] - tieBreak*float64(len(perCore[c]))
+				if best < 0 || gain > bestGain {
+					best, bestGain = c, gain
+				}
+			}
+			coreOf[ti] = best
+			perCore[best] = append(perCore[best], ti)
+			before[best] = after[best]
+		}
 	}
 
 	profiles := make([]*interval.Profile, n)
@@ -191,39 +225,58 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	return contention.Placement{Design: d, CoreOf: coreOf, Profiles: profiles}, nil
 }
 
-// marginalGain projects the change in core throughput (µops per ns) from
-// adding thread ti to core c.
-func marginalGain(d config.Design, c int, residents []int, ti int,
-	ipcOn []map[config.CoreType]float64,
-	prof []map[config.CoreType]*interval.Profile) float64 {
-
-	cc := d.Cores[c]
-	before := coreThroughput(d, cc, residents, nil, ipcOn, prof)
-	after := coreThroughput(d, cc, residents, &ti, ipcOn, prof)
-	return after - before
+// estimator projects core throughputs for Place's phase 2. A thread's IPC
+// estimate depends only on the thread, its core's configuration and the
+// number of co-runners, so each is evaluated once per Place call and
+// memoized; cores with identical configurations share estimates.
+type estimator struct {
+	d     config.Design
+	prof  []typeProfiles
+	ipcOn [][config.NumCoreTypes]float64
+	// class[c] numbers core c's configuration: adjacent identical cores
+	// (the design's cores of one type) share a class.
+	class    []int
+	nClasses int
+	// memo holds the IPC estimates at
+	// ((thread*nClasses)+class)*stride + coRunners; zero means not yet
+	// evaluated (an estimate of exactly zero is simply re-evaluated).
+	memo   []float64
+	stride int
+	// ths and ipcs are scratch for one throughput projection.
+	ths  []int
+	ipcs []float64
 }
 
-// coreThroughput estimates the summed IPC×timeShare of the residents (plus
-// an optional extra thread) on core cc, accounting for ROB partitioning,
-// width sharing and time sharing.
-func coreThroughput(d config.Design, cc config.Core, residents []int, extra *int,
-	ipcOn []map[config.CoreType]float64,
-	prof []map[config.CoreType]*interval.Profile) float64 {
-
-	ths := residents
-	if extra != nil {
-		ths = append(append([]int(nil), residents...), *extra)
+func newEstimator(d config.Design, prof []typeProfiles, ipcOn [][config.NumCoreTypes]float64) *estimator {
+	e := &estimator{d: d, prof: prof, ipcOn: ipcOn, class: make([]int, len(d.Cores))}
+	maxCtx := 0
+	for c := range d.Cores {
+		if c > 0 && d.Cores[c] != d.Cores[c-1] {
+			e.nClasses++
+		}
+		e.class[c] = e.nClasses
+		maxCtx = max(maxCtx, d.Cores[c].SMTContexts)
 	}
+	e.nClasses++
+	e.stride = maxCtx + 1
+	e.memo = make([]float64, len(prof)*e.nClasses*e.stride)
+	return e
+}
+
+// throughput estimates the summed IPC×timeShare of threads ths on core c,
+// accounting for ROB partitioning, width sharing and time sharing.
+func (e *estimator) throughput(c int, ths []int) float64 {
+	cc := &e.d.Cores[c]
 	k := len(ths)
 	if k == 0 {
 		return 0
 	}
-	if !d.SMTEnabled {
+	if !e.d.SMTEnabled {
 		// Time sharing: the core delivers the average of its threads' solo
 		// throughputs.
 		var sum float64
 		for _, t := range ths {
-			sum += ipcOn[t][cc.Type]
+			sum += e.ipcOn[t][cc.Type]
 		}
 		return sum / float64(k)
 	}
@@ -233,18 +286,11 @@ func coreThroughput(d config.Design, cc config.Core, residents []int, extra *int
 		coRunners = cc.SMTContexts
 		timeShare = float64(cc.SMTContexts) / float64(k)
 	}
-	part := interval.Partition(cc, coRunners)
-	ipcs := make([]float64, k)
-	for i, t := range ths {
-		sh := interval.Shares{
-			L1I:              float64(cc.L1I.SizeBytes) / float64(coRunners),
-			L1D:              float64(cc.L1D.SizeBytes) / float64(coRunners),
-			L2:               float64(cc.L2.SizeBytes) / float64(coRunners),
-			LLC:              float64(config.LLCConfig().SizeBytes) / 8,
-			MemLatencyCycles: 45 * cc.FrequencyGHz * 1.5,
-		}
-		ipcs[i] = 1 / prof[t][cc.Type].Evaluate(cc, part, sh).Total()
+	ipcs := e.ipcs[:0]
+	for _, t := range ths {
+		ipcs = append(ipcs, e.estimate(t, c, coRunners))
 	}
+	e.ipcs = ipcs
 	if coRunners > 1 {
 		interval.ShareWidth(ipcs, cc.Width)
 	}
@@ -253,4 +299,25 @@ func coreThroughput(d config.Design, cc config.Core, residents []int, extra *int
 		sum += v
 	}
 	return sum * timeShare * cc.FrequencyGHz
+}
+
+// estimate returns thread t's IPC on core c among coRunners co-running
+// threads, with private caches split evenly and a nominally loaded LLC and
+// memory.
+func (e *estimator) estimate(t, c, coRunners int) float64 {
+	key := (t*e.nClasses+e.class[c])*e.stride + coRunners
+	if v := e.memo[key]; v != 0 {
+		return v
+	}
+	cc := &e.d.Cores[c]
+	sh := interval.Shares{
+		L1I:              float64(cc.L1I.SizeBytes) / float64(coRunners),
+		L1D:              float64(cc.L1D.SizeBytes) / float64(coRunners),
+		L2:               float64(cc.L2.SizeBytes) / float64(coRunners),
+		LLC:              float64(config.LLCConfig().SizeBytes) / 8,
+		MemLatencyCycles: 45 * cc.FrequencyGHz * 1.5,
+	}
+	v := 1 / e.prof[t][cc.Type].Evaluate(*cc, interval.Partition(*cc, coRunners), sh).Total()
+	e.memo[key] = v
+	return v
 }

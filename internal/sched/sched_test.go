@@ -137,6 +137,17 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 	}
 }
 
+func TestUnknownCoreTypeRejected(t *testing.T) {
+	// Profiles and solo IPCs sit in tables indexed by core type, so a core
+	// type outside the known set must fail the placement, not index past
+	// the tables.
+	d, _ := config.DesignByName("4B", true)
+	d.Cores[3].Type = config.NumCoreTypes
+	if _, err := Place(d, mix("hmmer"), source()); err == nil {
+		t.Fatal("unknown core type accepted")
+	}
+}
+
 func TestNoSMTTimeSharing(t *testing.T) {
 	// 8 threads on 4 cores without SMT: time sharing, 2 per core.
 	d, coreOf := mustPlace(t, "4B", false, homogMix("bzip2", 8))
