@@ -15,8 +15,10 @@
 //	smtflexd -role=coordinator -workers http://localhost:8081,http://localhost:8082
 //
 // The coordinator serves the same API; /v1/sweep fans out across the fleet
-// and returns tables bit-identical to a solo daemon. Workers additionally
-// serve POST /cluster/v1/cell; /debug/cluster dumps assignment state.
+// and returns tables bit-identical to a solo daemon. Each worker gets four
+// dispatch slots that claim cells from one shared list per sweep, so faster
+// workers take more cells. Workers additionally serve POST /cluster/v1/cell;
+// /debug/cluster dumps cells done per worker and the dispatch counters.
 // Dispatches propagate the coordinator's request ID and trace context, and
 // worker spans are stitched back into one trace per sweep — see
 // /debug/traces, /debug/fleet and /debug/flight below.

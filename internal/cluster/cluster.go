@@ -5,27 +5,32 @@
 //
 // The design in one paragraph: a sweep decomposes into independently
 // evaluable cells (study.SweepMixes), each with a canonical content address
-// (memo.KeyHash of study.CellKey). A consistent-hash ring maps every cell to
-// a preferred worker, so repeated sweeps route the same cell to the same
-// worker and hit its local result store. The coordinator dispatches cells
-// over HTTP/JSON, checks a fleet-level content-addressed store first
-// (identical sub-sweeps are computed once fleet-wide), steals work from slow
-// workers' queues when a dispatcher runs dry, hedges attempts that exceed a
-// latency threshold with a second dispatch to a different worker, retries on
-// worker loss, and — when every worker is gone — falls back to computing the
-// remaining cells locally, so a sweep always converges. The per-cell results
-// feed study.AssembleSweep, the same reassembly the local pool uses, which
-// is why distributed tables are bit-for-bit identical by construction.
+// (memo.KeyHash of study.CellKey). The coordinator serves what its
+// fleet-level content-addressed store already holds (identical sub-sweeps
+// are computed once fleet-wide) and puts the rest in one list. Every worker
+// has four dispatch slots; each slot claims the list's next undispatched
+// cell through an atomic index and dispatches it over HTTP/JSON to its own
+// worker, so fast workers take more cells and a slow or dead worker's share
+// drains through the rest of the fleet. A cell's result is fixed by its
+// address, so no cell needs a particular worker. An attempt that exceeds a
+// latency threshold is hedged with a second dispatch to a different worker,
+// a lost worker's cell is retried elsewhere, and when every worker is gone
+// the coordinator computes the remaining cells locally, so a sweep always
+// converges. The per-cell results feed study.AssembleSweep, the same
+// reassembly the local pool uses, which is why distributed tables are
+// bit-for-bit identical by construction.
 //
-// Failure semantics: a transport error or timeout marks the worker down for
-// the remainder of the sweep (the next sweep re-probes it); its queued cells
-// are drained by the other dispatchers as steals. HTTP 503 from a worker's
-// admission valve is a shed, not a death — the coordinator honors the
-// jittered Retry-After and retries the same worker a bounded number of
-// times. 4xx/409 responses are terminal: the request itself is wrong (bad
-// design, fleet fingerprint mismatch) and no amount of retrying fixes it.
+// Failure semantics: a transport error or timeout counts against the
+// worker's circuit breaker and the cell is retried on another live worker;
+// while the breaker is open the worker's slots dispatch to the least-loaded
+// live worker instead. HTTP 503 from a worker's admission valve is a shed,
+// not a death — the coordinator honors the jittered Retry-After and retries
+// the same worker a bounded number of times. 4xx/409 responses are
+// terminal: the request itself is wrong (bad design, a key that does not
+// address its cell, fleet fingerprint mismatch) and no amount of retrying
+// fixes it.
 //
-// Observability: dispatch, steal, hedge and retry are obs spans under the
+// Observability: dispatch, hedge and retry are obs spans under the
 // coordinator's "cluster.sweep" span, so time stacks attribute fleet
 // overhead; counters back the daemon's /metrics and /debug/cluster surfaces.
 package cluster
@@ -42,6 +47,11 @@ const CellPath = "/cluster/v1/cell"
 // options) differs from its own. It is terminal: results from mismatched
 // engines must never be mixed into one table.
 var ErrFingerprintMismatch = errors.New("cluster: fleet fingerprint mismatch")
+
+// ErrKeyMismatch is returned by a worker handed a cell whose key is not the
+// content address of the cell it describes. It is terminal: caching the
+// result under the supplied key would serve it for a different cell.
+var ErrKeyMismatch = errors.New("cluster: cell key does not address the request")
 
 // ErrNoWorkers is returned when a coordinator is constructed without any
 // worker URLs.

@@ -16,8 +16,10 @@ import (
 
 	"smtflex/internal/config"
 	"smtflex/internal/core"
+	"smtflex/internal/memo"
 	"smtflex/internal/obs"
 	"smtflex/internal/study"
+	"smtflex/internal/workload"
 )
 
 // The equivalence tests' whole point: a sweep through the fleet must be
@@ -104,8 +106,11 @@ func newWorkerServer(t *testing.T, wrap func(next http.Handler) http.Handler) *h
 		resp, err := wk.Evaluate(ctx, req)
 		if err != nil {
 			code := http.StatusInternalServerError
-			if errors.Is(err, ErrFingerprintMismatch) {
+			switch {
+			case errors.Is(err, ErrFingerprintMismatch):
 				code = http.StatusConflict
+			case errors.Is(err, ErrKeyMismatch):
+				code = http.StatusBadRequest
 			}
 			rw.WriteHeader(code)
 			json.NewEncoder(rw).Encode(errorBody{err.Error()}) //nolint:errcheck
@@ -303,28 +308,32 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestCoordinatorTreatsRejectionAsTerminal: a 409 from a worker must fail
-// the sweep immediately — mixing tables across mismatched engines is the
-// one thing the fabric must never do, and there is no point retrying.
+// TestCoordinatorTreatsRejectionAsTerminal: a 409 (fingerprint mismatch) or
+// 400 (say, a key that does not address its cell) from a worker must fail
+// the sweep immediately — mixing tables across mismatched engines or cells
+// is the one thing the fabric must never do, and there is no point retrying.
 func TestCoordinatorTreatsRejectionAsTerminal(t *testing.T) {
-	var hits atomic.Int64
-	rejecting := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, CellPath) {
-			hits.Add(1)
-			rw.WriteHeader(http.StatusConflict)
-			json.NewEncoder(rw).Encode(errorBody{"fingerprint mismatch"}) //nolint:errcheck
-			return
+	for _, code := range []int{http.StatusConflict, http.StatusBadRequest} {
+		rejecting := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, CellPath) {
+				rw.WriteHeader(code)
+				json.NewEncoder(rw).Encode(errorBody{http.StatusText(code)}) //nolint:errcheck
+				return
+			}
+			rw.WriteHeader(http.StatusOK)
+		}))
+		defer rejecting.Close()
+		c := newTestCoordinator(t, []string{rejecting.URL}, testOptions())
+		_, err := c.SweepDesign(context.Background(), testDesign(), study.Heterogeneous)
+		if err == nil {
+			t.Fatalf("sweep through a worker answering %d succeeded, want terminal error", code)
 		}
-		rw.WriteHeader(http.StatusOK)
-	}))
-	defer rejecting.Close()
-	c := newTestCoordinator(t, []string{rejecting.URL}, testOptions())
-	_, err := c.SweepDesign(context.Background(), testDesign(), study.Heterogeneous)
-	if err == nil {
-		t.Fatal("sweep through rejecting worker succeeded, want terminal error")
-	}
-	if !strings.Contains(err.Error(), "rejected") {
-		t.Errorf("err = %v, want worker-rejection error", err)
+		if !strings.Contains(err.Error(), "rejected") {
+			t.Errorf("status %d: err = %v, want worker-rejection error", code, err)
+		}
+		if st := c.State(); st.Retries != 0 || st.Fallbacks != 0 {
+			t.Errorf("status %d: retries=%d fallbacks=%d, want none", code, st.Retries, st.Fallbacks)
+		}
 	}
 }
 
@@ -374,29 +383,121 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	}
 }
 
-// TestRingDeterministicAndBalanced: two independently built rings agree on
-// every owner (the cross-process routing contract), and load spreads.
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	r1 := newRing(urls, 0)
-	r2 := newRing(urls, 0)
-	counts := make([]int, len(urls))
-	for i := 0; i < 4096; i++ {
-		key := KeyHashLike(i)
-		o1, o2 := r1.ownerOf(key), r2.ownerOf(key)
-		if o1 != o2 {
-			t.Fatalf("rings disagree on key %q: %d vs %d", key, o1, o2)
-		}
-		counts[o1]++
+// TestSlowWorkerShareDrainsThroughFleet: every dispatch slot claims the
+// next cell from one shared list, so a worker that takes 20 ms longer per
+// cell simply completes fewer cells. The table stays byte-identical, and
+// nothing is retried, hedged or computed locally.
+func TestSlowWorkerShareDrainsThroughFleet(t *testing.T) {
+	want := localSweepJSON(t)
+	slow := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, CellPath) {
+				time.Sleep(20 * time.Millisecond)
+			}
+			next.ServeHTTP(rw, r)
+		})
+	})
+	fast := newWorkerServer(t, nil)
+	c := newTestCoordinator(t, []string{slow.URL, fast.URL}, testOptions())
+	if got := fleetSweepJSON(t, c); string(got) != string(want) {
+		t.Fatal("sweep with a slow worker differs from single-process table")
 	}
-	for i, n := range counts {
-		if n == 0 {
-			t.Errorf("worker %d owns no keys out of 4096", i)
-		}
+	st := c.State()
+	if st.Retries != 0 || st.Hedges != 0 || st.Fallbacks != 0 {
+		t.Errorf("retries=%d hedges=%d fallbacks=%d, want none", st.Retries, st.Hedges, st.Fallbacks)
+	}
+	if slowDone, fastDone := st.Workers[0].Done, st.Workers[1].Done; fastDone <= slowDone {
+		t.Errorf("fast worker completed %d cells, slow worker %d: want the fast one ahead", fastDone, slowDone)
 	}
 }
 
-// KeyHashLike derives a distinct deterministic key per index.
-func KeyHashLike(i int) string {
-	return strings.Repeat("k", i%7+1) + "-" + strings.Repeat("x", i%13+1)
+// cellFor builds the cell the coordinator dispatches for mix on testDesign.
+func cellFor(k study.Kind, mix workload.Mix) *cell {
+	st, d, n := sharedSim().Study(), testDesign(), len(mix.Programs)
+	key := memo.KeyHash(st.CellKey(d, k, n, mix))
+	return &cell{n: n, key: key, d: d, mix: mix, req: CellRequest{
+		Key: key, Fingerprint: st.Fingerprint(),
+		Design: d.Name, SMT: d.SMTEnabled, BandwidthGBps: d.MemBandwidthGBps,
+		Kind: k.String(), N: n, MixID: mix.ID, Programs: mix.Programs,
+	}}
+}
+
+// TestWorkerRejectsKeyMismatch: a worker must not cache under a key the
+// client chose. A tonto cell sent under the key of an mcf cell the worker
+// already holds is refused, and tonto's own request still gets tonto.
+func TestWorkerRejectsKeyMismatch(t *testing.T) {
+	ctx := context.Background()
+	wk := NewWorker(sharedSim().Study(), 0)
+	mcf := cellFor(study.Homogeneous, workload.Mix{ID: "hom-mcf-1", Programs: []string{"mcf"}}).req
+	tonto := cellFor(study.Homogeneous, workload.Mix{ID: "hom-tonto-1", Programs: []string{"tonto"}}).req
+	if _, err := wk.Evaluate(ctx, mcf); err != nil {
+		t.Fatalf("mcf cell: %v", err)
+	}
+	forged := tonto
+	forged.Key = mcf.Key
+	if resp, err := wk.Evaluate(ctx, forged); !errors.Is(err, ErrKeyMismatch) {
+		t.Fatalf("tonto cell under mcf's key: err = %v (threads %+v), want ErrKeyMismatch", err, resp.Threads)
+	}
+	resp, err := wk.Evaluate(ctx, tonto)
+	if err != nil {
+		t.Fatalf("tonto cell: %v", err)
+	}
+	if len(resp.Threads) != 1 || resp.Threads[0].Program != "tonto" {
+		t.Fatalf("tonto cell answered with threads %+v", resp.Threads)
+	}
+}
+
+// TestHedgeTargetCountsAsTried: a hedge's worker has been given the cell, so
+// after its response is quarantined and the primary is lost, the retry must
+// go to the one worker that has not seen the cell rather than back to the
+// hedge's.
+func TestHedgeTargetCountsAsTried(t *testing.T) {
+	localSweepJSON(t) // profiles measured before any timing matters
+	primary := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, CellPath) {
+				time.Sleep(150 * time.Millisecond)
+				panic(http.ErrAbortHandler)
+			}
+			next.ServeHTTP(rw, r)
+		})
+	})
+	corrupting := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if !strings.HasPrefix(r.URL.Path, CellPath) {
+				next.ServeHTTP(rw, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			var resp CellResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Errorf("corrupting worker: %v", err)
+				return
+			}
+			// Change the payload, keep the digest: a mismatch on receipt.
+			resp.STP++
+			json.NewEncoder(rw).Encode(resp) //nolint:errcheck
+		})
+	})
+	healthy := newWorkerServer(t, nil)
+	opts := testOptions()
+	opts.HedgeDelay = 20 * time.Millisecond
+	c := newTestCoordinator(t, []string{primary.URL, corrupting.URL, healthy.URL}, opts)
+	cl := cellFor(study.Heterogeneous, workload.Mix{ID: "het-mcf-tonto", Programs: []string{"mcf", "tonto"}})
+	resp, err := c.processCell(context.Background(), cl, 0)
+	if err != nil {
+		t.Fatalf("processCell: %v", err)
+	}
+	if err := resp.verifyIntegrity(cl.key); err != nil {
+		t.Fatalf("completed cell: %v", err)
+	}
+	st := c.State()
+	if st.IntegrityFailures != 1 || st.Retries != 1 || st.Dispatched != 3 {
+		t.Errorf("integrity_failures=%d retries=%d dispatched=%d, want 1, 1 and 3",
+			st.IntegrityFailures, st.Retries, st.Dispatched)
+	}
+	if done := st.Workers[2].Done; done != 1 {
+		t.Errorf("third worker completed %d cells, want 1", done)
+	}
 }

@@ -25,23 +25,10 @@ import (
 
 // Options parameterizes a Coordinator. Zero values select defaults.
 type Options struct {
-	// Client performs worker HTTP requests (default: a plain http.Client;
-	// per-attempt timeouts come from contexts, not the client).
-	Client *http.Client
-	// PerWorkerInflight bounds concurrent dispatches per worker (default 4).
-	PerWorkerInflight int
-	// AttemptTimeout caps one dispatch attempt (default 60s).
-	AttemptTimeout time.Duration
 	// HedgeDelay is how long a dispatch may run before a second attempt is
 	// launched on a different worker (default 3s). Zero selects the default;
 	// negative disables hedging.
 	HedgeDelay time.Duration
-	// ShedBudget is how many 503 sheds from one worker an attempt absorbs
-	// (honoring Retry-After) before trying elsewhere (default 8).
-	ShedBudget int
-	// Replicas is the consistent-hash virtual-node count per worker
-	// (default 64).
-	Replicas int
 	// StoreCap bounds the fleet result store in cells, LRU-evicted
 	// (0 = unbounded). SweepCap does the same for assembled sweeps.
 	StoreCap int
@@ -57,15 +44,18 @@ type Options struct {
 	// a second, independent worker and the result digests compared. Any
 	// divergence fails the sweep with ErrAuditDivergence. Zero disables.
 	AuditFraction float64
-	// BreakerThreshold is the consecutive transport-failure count that trips
-	// a worker's circuit breaker open (default 3). BreakerCooldown is how
-	// long an open breaker blocks traffic before half-opening for a probe
-	// dispatch (default 15s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Logger receives dispatch warnings (default slog.Default()).
 	Logger *slog.Logger
 }
+
+// Dispatch tuning.
+const (
+	slotsPerWorker   = 4                // concurrent dispatch slots per worker
+	attemptTimeout   = 60 * time.Second // cap on one dispatch attempt
+	shedBudget       = 8                // 503 sheds one attempt absorbs (honoring Retry-After) before trying elsewhere
+	breakerThreshold = 3                // consecutive transport failures that trip a worker's breaker open
+	breakerCooldown  = 15 * time.Second // how long an open breaker blocks traffic before a half-open probe
+)
 
 // dispatchBounds are the per-worker dispatch latency histogram buckets
 // (seconds): wire round trips live in the low milliseconds, full cell
@@ -76,9 +66,7 @@ var dispatchBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 type workerState struct {
 	url      string
 	br       *breaker     // circuit breaker: the worker's health state machine
-	assigned atomic.Int64 // cells whose ring owner this worker is
 	done     atomic.Int64 // cells this worker completed
-	stolen   atomic.Int64 // cells this worker's dispatchers stole
 	inflight atomic.Int64 // dispatch attempts currently on the wire
 
 	// Wire observability: successful-dispatch latency distribution and
@@ -114,17 +102,15 @@ func (w *workerState) alive() bool {
 }
 
 // Coordinator is the fabric's control plane: it decomposes sweeps into
-// content-addressed cells, dispatches them across the worker fleet with
-// work-stealing and hedged retries, and reassembles bit-identical tables.
+// content-addressed cells, dispatches them across the worker fleet from one
+// shared cell list with hedged retries, and reassembles bit-identical tables.
 // It is safe for concurrent use; identical concurrent sweeps coalesce onto
 // one fleet computation.
 type Coordinator struct {
 	st      *study.Study
 	opts    Options
 	log     *slog.Logger
-	client  *http.Client
 	workers []*workerState
-	ring    *ring
 
 	// store is the fleet-level content-addressed result store; hits skip
 	// dispatch entirely. Counters are tracked separately (storeHits/Misses)
@@ -132,8 +118,8 @@ type Coordinator struct {
 	store  memo.Cache[string, CellResponse]
 	sweeps memo.Cache[string, *study.Sweep]
 
-	storeHits, storeMisses                                atomic.Int64
-	dispatched, steals, retries, hedges, sheds, fallbacks atomic.Int64
+	storeHits, storeMisses                        atomic.Int64
+	dispatched, retries, hedges, sheds, fallbacks atomic.Int64
 
 	// flight is the sweep flight recorder behind /debug/flight; with a
 	// journal configured it also dumps each finished sweep's record next to
@@ -160,26 +146,8 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 	if len(workerURLs) == 0 {
 		return nil, ErrNoWorkers
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
-	if opts.PerWorkerInflight <= 0 {
-		opts.PerWorkerInflight = 4
-	}
-	if opts.AttemptTimeout <= 0 {
-		opts.AttemptTimeout = 60 * time.Second
-	}
 	if opts.HedgeDelay == 0 {
 		opts.HedgeDelay = 3 * time.Second
-	}
-	if opts.ShedBudget <= 0 {
-		opts.ShedBudget = 8
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 15 * time.Second
 	}
 	if opts.AuditFraction < 0 || opts.AuditFraction > 1 {
 		return nil, fmt.Errorf("cluster: audit fraction %g outside [0,1]", opts.AuditFraction)
@@ -187,19 +155,13 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	c := &Coordinator{
-		st:     st,
-		opts:   opts,
-		log:    opts.Logger,
-		client: opts.Client,
-		ring:   newRing(workerURLs, opts.Replicas),
-	}
+	c := &Coordinator{st: st, opts: opts, log: opts.Logger}
 	for _, u := range workerURLs {
 		// The breaker starts closed: optimistic until a probe or dispatch
 		// says otherwise.
 		c.workers = append(c.workers, &workerState{
 			url:  u,
-			br:   newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			br:   newBreaker(breakerThreshold, breakerCooldown),
 			hist: obs.NewHistogram(dispatchBounds),
 		})
 	}
@@ -282,7 +244,7 @@ func (c *Coordinator) Probe(ctx context.Context) {
 				fail(err)
 				return
 			}
-			resp, err := c.client.Do(req)
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				fail(err)
 				return
@@ -326,105 +288,6 @@ type cell struct {
 	// attempts numbers this cell's dispatch attempts (including hedges and
 	// audits) for span attribution: attempt > 1 is retry/hedge traffic.
 	attempts atomic.Int64
-}
-
-// sched is the per-sweep work-stealing scheduler: one queue per worker,
-// populated by ring ownership. Dispatchers pop their own queue first and
-// steal from the tail of other workers' queues when theirs runs dry, so a
-// straggling or dead worker's cells drain through the rest of the fleet.
-type sched struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queues      [][]*cell
-	pending     int
-	outstanding int
-	done        int // completed cells, including store prefills
-	err         error
-	stopped     bool
-}
-
-func newSched(nWorkers, prefilled int) *sched {
-	s := &sched{queues: make([][]*cell, nWorkers), done: prefilled}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// push enqueues a cell on its owner's queue.
-func (s *sched) push(owner int, cl *cell) {
-	s.mu.Lock()
-	s.queues[owner] = append(s.queues[owner], cl)
-	s.pending++
-	s.mu.Unlock()
-}
-
-// next blocks until a cell is available, preferring self's queue and
-// stealing from others' tails otherwise. It returns nil when the sweep is
-// finished, failed or stopped.
-func (s *sched) next(self int) (cl *cell, stolen bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.err != nil || s.stopped {
-			return nil, false
-		}
-		if q := s.queues[self]; len(q) > 0 {
-			cl, s.queues[self] = q[0], q[1:]
-			s.pending--
-			s.outstanding++
-			return cl, false
-		}
-		for off := 1; off < len(s.queues); off++ {
-			j := (self + off) % len(s.queues)
-			if q := s.queues[j]; len(q) > 0 {
-				cl, s.queues[j] = q[len(q)-1], q[:len(q)-1]
-				s.pending--
-				s.outstanding++
-				return cl, true
-			}
-		}
-		if s.pending == 0 && s.outstanding == 0 {
-			return nil, false
-		}
-		s.cond.Wait()
-	}
-}
-
-// complete marks one cell finished and returns the completed count.
-func (s *sched) complete() int {
-	s.mu.Lock()
-	s.outstanding--
-	s.done++
-	done := s.done
-	if s.pending == 0 && s.outstanding == 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-	return done
-}
-
-// fail records the sweep's terminal error and wakes every dispatcher.
-func (s *sched) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.outstanding--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// stop wakes every dispatcher so they observe cancellation.
-func (s *sched) stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *sched) failure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // computeSweep decomposes, dispatches and reassembles one sweep.
@@ -487,66 +350,58 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 	if prog != nil && prefilled > 0 {
 		prog(prefilled, total)
 	}
-	if len(cells) == 0 {
-		return study.AssembleSweep(d, k, mixes, results)
+
+	// Every slot of every worker claims the next undispatched cell from the
+	// one shared list, so each worker takes cells as fast as it finishes
+	// them and a slow or dead worker's share drains through the rest of the
+	// fleet. A slot stops at the end of the list, on the sweep's first
+	// failure, or when ctx is done; cells already on the wire still finish
+	// and are journaled.
+	var (
+		next, done atomic.Int64 // next unclaimed cell index; completed cells, prefills included
+		mu         sync.Mutex   // guards sweepErr
+		sweepErr   error
+	)
+	done.Store(int64(prefilled))
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return sweepErr != nil
 	}
-
-	sc := newSched(len(c.workers), prefilled)
-	for _, cl := range cells {
-		owner := c.ring.ownerOf(cl.key)
-		c.workers[owner].assigned.Add(1)
-		sc.push(owner, cl)
-	}
-
-	// Wake dispatchers blocked in next() if the caller goes away.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sc.stop()
-		case <-watchDone:
-		}
-	}()
-	defer close(watchDone)
-
-	var mu sync.Mutex // guards results writes (distinct slots, but keep the race detector honest)
 	var wg sync.WaitGroup
 	for wi := range c.workers {
-		for slot := 0; slot < c.opts.PerWorkerInflight; slot++ {
+		for range slotsPerWorker {
 			wg.Add(1)
-			go func(wi int) {
+			go func() {
 				defer wg.Done()
-				for {
-					cl, stolen := sc.next(wi)
-					if cl == nil {
+				for ctx.Err() == nil && !failed() {
+					i := int(next.Add(1)) - 1
+					if i >= len(cells) {
 						return
 					}
-					if stolen {
-						c.steals.Add(1)
-						c.workers[wi].stolen.Add(1)
-						c.flight.event(cl.key, FlightStolen, c.workers[wi].url, "")
-					}
-					resp, err := c.processCell(ctx, cl, wi, stolen)
+					cl := cells[i]
+					resp, err := c.processCell(ctx, cl, wi)
 					if err != nil {
-						sc.fail(err)
+						mu.Lock()
+						if sweepErr == nil {
+							sweepErr = err
+						}
+						mu.Unlock()
 						return
 					}
 					c.store.Put(cl.key, resp)
 					c.journalCell(cl.key, resp)
-					mu.Lock()
-					results[cl.n-1][cl.mi] = fromWire(resp)
-					mu.Unlock()
-					done := sc.complete()
-					if prog != nil {
-						prog(done, total)
+					results[cl.n-1][cl.mi] = fromWire(resp) // each cell owns its slot
+					if n := done.Add(1); prog != nil {
+						prog(int(n), total)
 					}
 				}
-			}(wi)
+			}()
 		}
 	}
 	wg.Wait()
-	if err := sc.failure(); err != nil {
-		return nil, err
+	if sweepErr != nil {
+		return nil, sweepErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -635,18 +490,16 @@ func neutralDispatchError(err error) bool {
 	return errors.As(err, &se) || errors.As(err, &de) || errors.As(err, &be) || errors.As(err, &te)
 }
 
-// processCell drives one cell to completion: preferred worker first, hedged
-// against stragglers, retried on other live workers after a loss, and
+// processCell drives one cell to completion: the claiming slot's worker
+// first (the least-loaded live worker when that one's breaker is open),
+// hedged against stragglers, retried on other live workers after a loss, and
 // computed locally when the whole fleet is gone — a sweep never stalls on a
 // dead fleet.
-func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stolen bool) (CellResponse, error) {
+func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (CellResponse, error) {
 	ctx, sp := obs.StartSpan(ctx, "cluster.cell")
 	sp.SetAttr("key", cl.key)
 	sp.SetAttr("n", cl.n)
 	sp.SetAttr("mix", cl.mix.ID)
-	if stolen {
-		sp.SetAttr("stolen", true)
-	}
 	defer sp.End()
 
 	tried := make(map[int]bool)
@@ -675,7 +528,7 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stole
 			return toWire(cl.key, r), nil
 		}
 		tried[target] = true
-		resp, winner, err := c.dispatchHedged(ctx, cl, target)
+		resp, winner, err := c.dispatchHedged(ctx, cl, target, tried)
 		if err == nil {
 			c.workers[winner].done.Add(1)
 			sp.SetAttr("worker", c.workers[winner].url)
@@ -691,7 +544,8 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stole
 		}
 		// Transport loss, quarantine, shed budget or drain: try the next
 		// live worker. A quarantined response must re-dispatch to a
-		// *different* worker, which tried already guarantees.
+		// *different* worker, which tried already guarantees: it holds every
+		// worker given this cell, hedge targets included.
 		c.retries.Add(1)
 		c.flight.event(cl.key, FlightRetried, c.workers[target].url, err.Error())
 		c.log.Warn("cell re-dispatch", "key", cl.key, "worker", c.workers[target].url, "err", err)
@@ -771,12 +625,12 @@ func (c *Coordinator) pickLive(tried map[int]bool) int {
 }
 
 // dispatchHedged runs one dispatch attempt against primary, launching a
-// second attempt on a different live worker if the first exceeds the hedge
-// delay; the first success wins (its worker index is returned) and the
-// loser's request is cancelled. Breaker verdicts are recorded inside
+// second attempt on a live worker outside tried if the first exceeds the
+// hedge delay and adding it to tried; the first success wins (its worker
+// index is returned) and the loser's request is cancelled. Breaker verdicts are recorded inside
 // attempt, by the goroutine that owns each dispatch — a lost hedge's
 // verdict still lands even though its channel send is never read.
-func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int) (CellResponse, int, error) {
+func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int, tried map[int]bool) (CellResponse, int, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -824,7 +678,8 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int)
 			if hedged {
 				continue
 			}
-			if backup := c.pickLive(map[int]bool{primary: true}); backup >= 0 {
+			if backup := c.pickLive(tried); backup >= 0 {
+				tried[backup] = true
 				hedged = true
 				c.hedges.Add(1)
 				c.flight.event(cl.key, FlightHedged, c.workers[backup].url, "")
@@ -887,7 +742,7 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 
 	for shed := 0; ; shed++ {
 		t0 := time.Now()
-		actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 		ws.txBytes.Add(int64(len(body)))
 		hresp, err := c.post(actx, ws.url+CellPath, body)
 		if err != nil {
@@ -943,7 +798,7 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 				return CellResponse{}, &drainError{ws.url}
 			}
 			c.sheds.Add(1)
-			if shed+1 >= c.opts.ShedBudget {
+			if shed+1 >= shedBudget {
 				sp.SetAttr("error", "shed budget exhausted")
 				return CellResponse{}, &shedError{ws.url}
 			}
@@ -982,7 +837,7 @@ func (c *Coordinator) post(ctx context.Context, url string, body []byte) (*http.
 	if tid, sid := obs.Traceparent(ctx); tid != "" {
 		req.Header.Set(TraceparentHeader, obs.FormatTraceparent(tid, sid))
 	}
-	return c.client.Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // sleepRetryAfter waits the server-suggested interval (capped at 2s so a
@@ -1019,15 +874,9 @@ type WorkerStatus struct {
 	BreakerTrips int64     `json:"breaker_trips"`
 	BreakerSince time.Time `json:"breaker_since"`
 	LastErr      string    `json:"last_err,omitempty"`
-	// RingShare is the fraction of the hash space this worker owns — the
-	// expected share of cells assigned to it.
-	RingShare float64 `json:"ring_share"`
-	// Assigned counts cells whose ring owner this worker was; Done counts
-	// cells it actually completed; Stolen counts cells its dispatchers took
-	// from other workers' queues. Inflight is current on-the-wire dispatches.
-	Assigned int64 `json:"assigned"`
+	// Done counts cells this worker completed; Inflight is current
+	// on-the-wire dispatches.
 	Done     int64 `json:"done"`
-	Stolen   int64 `json:"stolen"`
 	Inflight int64 `json:"inflight"`
 	// TxBytes/RxBytes are dispatch request/response wire totals to/from this
 	// worker.
@@ -1043,7 +892,10 @@ type State struct {
 	StoreHits    int64 `json:"store_hits"`
 	StoreMisses  int64 `json:"store_misses"`
 	StoreEntries int   `json:"store_entries"`
-	// Dispatch machinery counters.
+	// Dispatch machinery counters. Steals always reads 0: dispatch slots
+	// claim cells from one shared list, so there is no other worker's queue
+	// to take a cell from. It stays because perfbench reports it as
+	// cluster.steals.
 	Dispatched int64 `json:"dispatched"`
 	Steals     int64 `json:"steals"`
 	Retries    int64 `json:"retries"`
@@ -1074,7 +926,6 @@ func (c *Coordinator) State() State {
 		StoreMisses:  c.storeMisses.Load(),
 		StoreEntries: c.store.Len(),
 		Dispatched:   c.dispatched.Load(),
-		Steals:       c.steals.Load(),
 		Retries:      c.retries.Load(),
 		Hedges:       c.hedges.Load(),
 		Sheds:        c.sheds.Load(),
@@ -1091,8 +942,7 @@ func (c *Coordinator) State() State {
 	if c.opts.Journal != nil {
 		st.Journaled = c.opts.Journal.Len()
 	}
-	shares := c.ringShares()
-	for i, ws := range c.workers {
+	for _, ws := range c.workers {
 		brState, brTrips, brSince := ws.br.snapshot()
 		st.Workers = append(st.Workers, WorkerStatus{
 			URL:          ws.url,
@@ -1101,36 +951,13 @@ func (c *Coordinator) State() State {
 			BreakerTrips: brTrips,
 			BreakerSince: brSince,
 			LastErr:      ws.lastError(),
-			RingShare:    shares[i],
-			Assigned:     ws.assigned.Load(),
 			Done:         ws.done.Load(),
-			Stolen:       ws.stolen.Load(),
 			Inflight:     ws.inflight.Load(),
 			TxBytes:      ws.txBytes.Load(),
 			RxBytes:      ws.rxBytes.Load(),
 		})
 	}
 	return st
-}
-
-// ringShares computes each worker's owned fraction of the hash space.
-func (c *Coordinator) ringShares() []float64 {
-	shares := make([]float64, len(c.workers))
-	n := len(c.ring.hashes)
-	if n == 0 {
-		return shares
-	}
-	const span = float64(1<<63) * 2 // 2^64 as float
-	for i, h := range c.ring.hashes {
-		var arc uint64
-		if i == 0 {
-			arc = c.ring.hashes[0] + (^c.ring.hashes[n-1] + 1) // wraparound arc
-		} else {
-			arc = h - c.ring.hashes[i-1]
-		}
-		shares[c.ring.owner[h]] += float64(arc) / span
-	}
-	return shares
 }
 
 // Workers lists the fleet's worker URLs with current liveness and breaker

@@ -185,7 +185,7 @@ func (c *Coordinator) get(ctx context.Context, url string) ([]byte, int, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // The sweep flight recorder: a bounded, per-sweep log of every cell's
-// lifecycle (queued → dispatched → stolen/hedged/retried/quarantined →
-// completed) with the worker that answered, attempt counts, and the
+// lifecycle (queued → dispatched → hedged/retried/quarantined → completed)
+// with the worker that answered, attempt counts, and the
 // wall/queue/wire/compute nanosecond split. It exists so a post-mortem of a
 // crashed or slow sweep is a file read — /debug/flight while the process
 // lives, a flight-*.json next to the journal after it dies — not a log grep.
@@ -35,7 +35,6 @@ const (
 const (
 	FlightQueued      = "queued"
 	FlightDispatched  = "dispatched"
-	FlightStolen      = "stolen"
 	FlightHedged      = "hedged"
 	FlightRetried     = "retried"
 	FlightQuarantined = "quarantined"
@@ -59,7 +58,6 @@ type FlightCell struct {
 	Mix      string `json:"mix"`
 	Worker   string `json:"worker,omitempty"` // worker whose response completed the cell
 	Attempts int    `json:"attempts"`
-	Stolen   bool   `json:"stolen,omitempty"`
 	Hedges   int    `json:"hedges,omitempty"`
 	Retries  int    `json:"retries,omitempty"`
 	// Quarantines counts integrity-failed responses this cell absorbed.
@@ -199,8 +197,6 @@ func (f *flightRecorder) event(key, kind, worker, detail string) {
 			fc.dispatched = true
 			fc.QueueNs = now.Sub(fc.enqueued).Nanoseconds()
 		}
-	case FlightStolen:
-		fc.Stolen = true
 	case FlightHedged:
 		fc.Hedges++
 	case FlightRetried:

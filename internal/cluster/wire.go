@@ -23,7 +23,8 @@ import (
 // list, so the worker needs no knowledge of the coordinator's mix seed.
 type CellRequest struct {
 	// Key is the cell's content address (memo.KeyHash of study.CellKey),
-	// under which the worker caches its result.
+	// under which the worker caches its result. The worker recomputes it
+	// from the fields below and refuses a mismatch (ErrKeyMismatch).
 	Key string `json:"key"`
 	// Fingerprint is the coordinator engine's study.Fingerprint; the worker
 	// rejects the cell if its own differs (ErrFingerprintMismatch).
@@ -32,11 +33,11 @@ type CellRequest struct {
 	Design        string  `json:"design"`
 	SMT           bool    `json:"smt"`
 	BandwidthGBps float64 `json:"bandwidth_gbps"`
-	// Kind is "homogeneous" or "heterogeneous" (informational — the mix is
-	// explicit).
+	// Kind is "homogeneous" or "heterogeneous" and N the cell's thread
+	// count. Both enter the key; the evaluation itself runs the explicit
+	// mix, so len(Programs) governs.
 	Kind string `json:"kind"`
-	// N is the cell's thread count (informational; len(Programs) governs).
-	N int `json:"n"`
+	N    int    `json:"n"`
 	// MixID and Programs are the mix, one benchmark name per thread.
 	MixID    string   `json:"mix_id"`
 	Programs []string `json:"programs"`

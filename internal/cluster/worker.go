@@ -13,9 +13,11 @@ import (
 // Worker is the worker-side half of the fabric: it evaluates cells through
 // the local engine, caching results by content address so a re-dispatched or
 // hedged duplicate — or the same cell in a later sweep — is served without
-// recomputation. The HTTP plumbing (admission, tracing, metrics) lives in
-// internal/server, which mounts Evaluate under CellPath in worker role; this
-// type is transport-free so tests can drive it directly.
+// recomputation. The address is recomputed from the request, never taken on
+// trust, so a wrong key cannot file one cell's result under another's. The
+// HTTP plumbing (admission, tracing, metrics) lives in internal/server, which
+// mounts Evaluate under CellPath in worker role; this type is transport-free
+// so tests can drive it directly.
 type Worker struct {
 	st *study.Study
 	// cells is the worker-local content-addressed result store. Its hit/miss
@@ -36,7 +38,9 @@ func NewWorker(st *study.Study, maxCells int) *Worker {
 
 // Evaluate computes one cell, serving repeats from the content store.
 // Identical concurrent requests (a coordinator hedge racing a retry)
-// coalesce onto one computation via the store's singleflight semantics.
+// coalesce onto one computation via the store's singleflight semantics. A
+// request whose Key is not the cell's content address is refused with
+// ErrKeyMismatch.
 func (w *Worker) Evaluate(ctx context.Context, req CellRequest) (CellResponse, error) {
 	if req.Fingerprint != "" && req.Fingerprint != w.st.Fingerprint() {
 		return CellResponse{}, fmt.Errorf("%w: coordinator %q vs worker %q",
@@ -55,19 +59,21 @@ func (w *Worker) Evaluate(ctx context.Context, req CellRequest) (CellResponse, e
 	if req.BandwidthGBps > 0 {
 		d = d.WithBandwidth(req.BandwidthGBps)
 	}
+	kind, err := study.ParseKind(req.Kind)
+	if err != nil {
+		return CellResponse{}, err
+	}
 	mix := workload.Mix{ID: req.MixID, Programs: req.Programs}
-	compute := func(ctx context.Context) (CellResponse, error) {
+	if key := memo.KeyHash(w.st.CellKey(d, kind, req.N, mix)); req.Key != key {
+		return CellResponse{}, fmt.Errorf("%w: key %q, cell %q", ErrKeyMismatch, req.Key, key)
+	}
+	return w.cells.GetCtx(ctx, req.Key, func(ctx context.Context) (CellResponse, error) {
 		r, err := w.st.EvaluateMixCtx(ctx, d, mix)
 		if err != nil {
 			return CellResponse{}, err
 		}
 		return toWire(req.Key, r), nil
-	}
-	if req.Key == "" {
-		// No content address — evaluate without caching.
-		return compute(ctx)
-	}
-	return w.cells.GetCtx(ctx, req.Key, compute)
+	})
 }
 
 // CacheCounters exposes the content store's counters for /metrics.

@@ -11,6 +11,8 @@ import (
 
 	"smtflex/internal/cluster"
 	"smtflex/internal/config"
+	"smtflex/internal/memo"
+	"smtflex/internal/study"
 	"smtflex/internal/workload"
 )
 
@@ -36,17 +38,41 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	}
 }
 
+// mcfCell is the JSON cell request for n copies of mcf on 4B under the
+// cell's content address, as a coordinator sends it.
+func mcfCell(t *testing.T, n int) string {
+	t.Helper()
+	st := sharedSim().Study()
+	d, err := config.DesignByName("4B", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workload.Mix{ID: fmt.Sprintf("hom-mcf-%d", n)}
+	for range n {
+		mix.Programs = append(mix.Programs, "mcf")
+	}
+	b, err := json.Marshal(cluster.CellRequest{
+		Key: memo.KeyHash(st.CellKey(d, study.Homogeneous, n, mix)), Fingerprint: st.Fingerprint(),
+		Design: d.Name, SMT: d.SMTEnabled, BandwidthGBps: d.MemBandwidthGBps,
+		Kind: study.Homogeneous.String(), N: n, MixID: mix.ID, Programs: mix.Programs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestWorkerRoleServesCells drives the worker-role daemon end to end: the
 // cell route evaluates through the shared endpoint spine, healthz reports
-// the role, /debug/cluster dumps the content-store counters, and a
-// mismatched fleet fingerprint is refused with 409.
+// the role, /debug/cluster dumps the content-store counters, a mismatched
+// fleet fingerprint is refused with 409 and a key that is not the cell's
+// content address with 400.
 func TestWorkerRoleServesCells(t *testing.T) {
 	wk := cluster.NewWorker(sharedSim().Study(), 0)
 	_, ts := newTestServer(t, Config{ClusterWorker: wk})
 
 	st := sharedSim().Study()
-	req := fmt.Sprintf(`{"key":"k1","fingerprint":%q,"design":"4B","smt":true,"kind":"homogeneous","n":2,"mix_id":"hom-mcf-2","programs":["mcf","mcf"]}`, st.Fingerprint())
-	code, body, _ := postJSON(t, ts.URL+cluster.CellPath, req)
+	code, body, _ := postJSON(t, ts.URL+cluster.CellPath, mcfCell(t, 2))
 	if code != http.StatusOK {
 		t.Fatalf("cell: code=%d body=%s", code, body)
 	}
@@ -74,6 +100,10 @@ func TestWorkerRoleServesCells(t *testing.T) {
 	code, body, _ = postJSON(t, ts.URL+cluster.CellPath, bad)
 	if code != http.StatusConflict {
 		t.Fatalf("mismatched fingerprint: code=%d body=%s, want 409", code, body)
+	}
+	forged := strings.Replace(mcfCell(t, 2), `"key":"`, `"key":"00`, 1)
+	if code, body, _ = postJSON(t, ts.URL+cluster.CellPath, forged); code != http.StatusBadRequest {
+		t.Fatalf("forged key: code=%d body=%s, want 400", code, body)
 	}
 
 	// Role surfaces.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -19,7 +18,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{ClusterWorker: wk})
 
 	// Before draining: a cell evaluates normally.
-	req := fmt.Sprintf(`{"key":"k1","fingerprint":%q,"design":"4B","smt":true,"kind":"homogeneous","n":1,"mix_id":"hom-mcf-1","programs":["mcf"]}`, sharedSim().Study().Fingerprint())
+	req := mcfCell(t, 1)
 	if code, body, _ := postJSON(t, ts.URL+cluster.CellPath, req); code != http.StatusOK {
 		t.Fatalf("pre-drain cell: code=%d body=%s", code, body)
 	}

@@ -15,7 +15,7 @@ import (
 
 // FleetResponse is the /debug/fleet body: the merged worker scrape plus the
 // coordinator's own fleet-category time stacks (where distributed sweep wall
-// time went: queue, dispatch wire, remote compute, steals, hedges, retries,
+// time went: queue, dispatch wire, remote compute, hedges, retries,
 // reassembly).
 type FleetResponse struct {
 	cluster.FleetSnapshot

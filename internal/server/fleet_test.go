@@ -42,7 +42,7 @@ func TestClusterMetricsPromtextLint(t *testing.T) {
 	typed, values := lintPromText(t, body)
 
 	for _, name := range []string{
-		"smtflexd_cluster_dispatched_total", "smtflexd_cluster_steals_total",
+		"smtflexd_cluster_dispatched_total",
 		"smtflexd_cluster_retries_total", "smtflexd_cluster_hedges_total",
 		"smtflexd_cluster_sheds_total", "smtflexd_cluster_fallbacks_total",
 		"smtflexd_cluster_integrity_failures_total", "smtflexd_cluster_audits_total",

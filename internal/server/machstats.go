@@ -144,7 +144,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "missing design")
 		return
 	}
-	kind, err := parseKind(q.Get("kind"))
+	kind, err := study.ParseKind(q.Get("kind"))
 	if err != nil {
 		fail(http.StatusBadRequest, "%v", err)
 		return

@@ -279,7 +279,8 @@ func statusOf(err error) int {
 	case errors.Is(err, context.Canceled):
 		return statusClientClosed
 	case errors.Is(err, config.ErrBadConfig), errors.Is(err, cache.ErrBadConfig),
-		errors.Is(err, mem.ErrBadConfig), errors.Is(err, trace.ErrBadTrace):
+		errors.Is(err, mem.ErrBadConfig), errors.Is(err, trace.ErrBadTrace),
+		errors.Is(err, study.ErrBadKind), errors.Is(err, cluster.ErrKeyMismatch):
 		return http.StatusBadRequest
 	case errors.Is(err, contention.ErrNotConverged), errors.Is(err, contention.ErrDiverged):
 		return http.StatusUnprocessableEntity
@@ -502,17 +503,6 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-func parseKind(raw string) (study.Kind, error) {
-	switch raw {
-	case "", "homogeneous":
-		return study.Homogeneous, nil
-	case "heterogeneous":
-		return study.Heterogeneous, nil
-	default:
-		return 0, badRequest("unknown kind %q (want homogeneous or heterogeneous)", raw)
-	}
-}
-
 // --- handlers ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -593,7 +583,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := s.coord.State()
 		samples = append(samples,
 			sample{"smtflexd_cluster_dispatched_total", "Cell dispatch attempts sent to workers.", "counter", "", float64(st.Dispatched)},
-			sample{"smtflexd_cluster_steals_total", "Cells a dispatcher stole from another worker's queue.", "counter", "", float64(st.Steals)},
 			sample{"smtflexd_cluster_retries_total", "Cells re-dispatched after a worker loss or shed budget.", "counter", "", float64(st.Retries)},
 			sample{"smtflexd_cluster_hedges_total", "Backup dispatches launched against straggling workers.", "counter", "", float64(st.Hedges)},
 			sample{"smtflexd_cluster_sheds_total", "503 sheds absorbed from worker admission valves.", "counter", "", float64(st.Sheds)},
@@ -639,7 +628,7 @@ func (s *Server) handleSweep(ctx context.Context, r *http.Request) (any, error) 
 	if req.Design == "" {
 		return nil, badRequest("missing design")
 	}
-	kind, err := parseKind(req.Kind)
+	kind, err := study.ParseKind(req.Kind)
 	if err != nil {
 		return nil, err
 	}

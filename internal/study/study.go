@@ -7,6 +7,7 @@ package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,22 @@ func (k Kind) String() string {
 		return "homogeneous"
 	}
 	return "heterogeneous"
+}
+
+// ErrBadKind reports a workload kind name ParseKind does not know.
+var ErrBadKind = errors.New("study: unknown kind")
+
+// ParseKind is the inverse of Kind.String; the empty name selects
+// Homogeneous.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "", "homogeneous":
+		return Homogeneous, nil
+	case "heterogeneous":
+		return Heterogeneous, nil
+	default:
+		return 0, fmt.Errorf("%w %q (want homogeneous or heterogeneous)", ErrBadKind, name)
+	}
 }
 
 // MaxThreads is the study's maximum active thread count.
