@@ -53,6 +53,11 @@ var ErrFingerprintMismatch = errors.New("cluster: fleet fingerprint mismatch")
 // result under the supplied key would serve it for a different cell.
 var ErrKeyMismatch = errors.New("cluster: cell key does not address the request")
 
+// ErrBadCell is returned by a worker handed a cell request that names no
+// design or lists no programs. It is terminal: the request cannot describe
+// a cell however often it is retried.
+var ErrBadCell = errors.New("cluster: malformed cell request")
+
 // ErrNoWorkers is returned when a coordinator is constructed without any
 // worker URLs.
 var ErrNoWorkers = errors.New("cluster: coordinator needs at least one worker URL")

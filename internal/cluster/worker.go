@@ -47,10 +47,10 @@ func (w *Worker) Evaluate(ctx context.Context, req CellRequest) (CellResponse, e
 			ErrFingerprintMismatch, req.Fingerprint, w.st.Fingerprint())
 	}
 	if req.Design == "" {
-		return CellResponse{}, fmt.Errorf("cluster: cell request missing design")
+		return CellResponse{}, fmt.Errorf("%w: missing design", ErrBadCell)
 	}
 	if len(req.Programs) == 0 {
-		return CellResponse{}, fmt.Errorf("cluster: cell request has no programs")
+		return CellResponse{}, fmt.Errorf("%w: no programs", ErrBadCell)
 	}
 	d, err := config.DesignByName(req.Design, req.SMT)
 	if err != nil {

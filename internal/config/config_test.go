@@ -1,6 +1,8 @@
 package config
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -100,8 +102,35 @@ func TestDesignByName(t *testing.T) {
 	if d.CountOfType(Big) != 2 || d.CountOfType(Small) != 10 || d.SMTEnabled {
 		t.Fatalf("wrong design %+v", d)
 	}
-	if _, err := DesignByName("5B", true); err == nil {
-		t.Fatal("unknown design accepted")
+	if _, err := DesignByName("5B", true); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("unknown design: err=%v, want ErrBadConfig", err)
+	}
+}
+
+// TestDesignByNameReturnsOwnedCopy: the designs come from a table built
+// once, so a caller that edits its design's cores must not reach the table
+// or the next caller's design.
+func TestDesignByNameReturnsOwnedCopy(t *testing.T) {
+	for _, smt := range []bool{false, true} {
+		for _, want := range NineDesigns(smt) {
+			d, err := DesignByName(want.Name, smt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(d, want) {
+				t.Fatalf("%s smt=%t: DesignByName differs from NineDesigns", want.Name, smt)
+			}
+			d.Cores[0].FrequencyGHz = 99
+			d.Cores[0].L1D.SizeBytes = 1
+			d.Cores = append(d.Cores[:1], d.Cores...)
+			again, err := DesignByName(want.Name, smt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, want) {
+				t.Fatalf("%s smt=%t: mutating a returned design changed the next lookup: %+v", want.Name, smt, again.Cores[0])
+			}
+		}
 	}
 }
 

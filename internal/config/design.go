@@ -154,14 +154,25 @@ func NineDesigns(smt bool) []Design {
 	}
 }
 
-// DesignByName returns the named design from the nine-design space.
+// designTable holds the nine designs without ([0]) and with ([1]) SMT,
+// built once: request handlers and workers resolve a design per call.
+var designTable = [2][]Design{NineDesigns(false), NineDesigns(true)}
+
+// DesignByName returns the named design from the nine-design space. The
+// result owns its Cores slice, so callers may modify it freely. An unknown
+// name wraps ErrBadConfig.
 func DesignByName(name string, smt bool) (Design, error) {
-	for _, d := range NineDesigns(smt) {
+	tab := designTable[0]
+	if smt {
+		tab = designTable[1]
+	}
+	for _, d := range tab {
 		if d.Name == name {
+			d.Cores = append([]Core(nil), d.Cores...)
 			return d, nil
 		}
 	}
-	return Design{}, fmt.Errorf("config: unknown design %q", name)
+	return Design{}, fmt.Errorf("%w: unknown design %q", ErrBadConfig, name)
 }
 
 // HomogeneousOnlySMT returns the nine designs with SMT enabled only in the

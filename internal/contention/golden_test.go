@@ -174,3 +174,44 @@ func TestSolveBitsGolden(t *testing.T) {
 		t.Fatalf("solver bits changed over %d solves: SHA-256 %s, want %s", solves, got, goldenSolveSHA256)
 	}
 }
+
+// TestCanonicalModelSolvesLikeDefault: Canonical folds exactly the models
+// that spell out a default, and each of them solves every golden placement
+// bit-identically to the default model — what lets the study key sweeps,
+// cells and fingerprints by the canonical model. Settings that change the
+// arithmetic (or, for a tolerance, the stopping rule) stay as written.
+func TestCanonicalModelSolvesLikeDefault(t *testing.T) {
+	spelled := []Model{
+		{IssueEfficiency: interval.SMTIssueEfficiency},
+		{MaxIterations: iterations},
+		{Damping: damping},
+	}
+	for _, m := range spelled {
+		if got := m.Canonical(); got != DefaultModel() {
+			t.Errorf("%+v: Canonical() = %+v, want the default model", m, got)
+		}
+	}
+	for _, m := range []Model{{IssueEfficiency: 0.9}, {Tolerance: 1e-6}, {EqualLLCShares: true}, {MaxIterations: 30}} {
+		if got := m.Canonical(); got != m {
+			t.Errorf("%+v: Canonical() = %+v, want it unchanged", m, got)
+		}
+	}
+
+	machstats.Disable()
+	defer machstats.Disable()
+	s := NewSolver()
+	sum := func(pl Placement, m Model) string {
+		h := sha256.New()
+		res, err := s.SolveModel(pl, m)
+		hashResult(h, res, err)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	goldenPlacements(t, func(label string, pl Placement) {
+		want := sum(pl, DefaultModel())
+		for _, m := range spelled {
+			if got := sum(pl, m); got != want {
+				t.Fatalf("%s n=%d: %+v solves differently from the default model", label, len(pl.CoreOf), m)
+			}
+		}
+	})
+}

@@ -36,6 +36,24 @@ type Model struct {
 // DefaultModel returns the calibrated configuration used by Solve.
 func DefaultModel() Model { return Model{} }
 
+// Canonical returns m with every field that selects what its zero value
+// selects set to zero — an IssueEfficiency of interval.SMTIssueEfficiency,
+// a MaxIterations of the default cap, a Damping of the default blend — so
+// two models that solve bit-identically print identically. Cache keys and
+// fingerprints render the canonical model.
+func (m Model) Canonical() Model {
+	if m.effIssue() == interval.SMTIssueEfficiency {
+		m.IssueEfficiency = 0
+	}
+	if m.maxIterations() == iterations {
+		m.MaxIterations = 0
+	}
+	if m.dampFactor() == damping {
+		m.Damping = 0
+	}
+	return m
+}
+
 // maxIterations returns the iteration cap the model selects.
 func (m Model) maxIterations() int {
 	if m.MaxIterations > 0 {

@@ -134,8 +134,9 @@ func (s *Solver) prepare(n, nCores int) {
 // bit-identical — but each iteration does only the work that can change:
 // a thread's core, ROB partition and I-cache share are fixed by the
 // placement, so their evaluation terms are computed once per solve (see
-// interval.Invariant), and each data-curve lookup is made once per
-// iteration and shared by every step that reads it.
+// interval.Invariant), and each data-curve lookup is made at most once per
+// iteration, only when its capacity moved, and shared by every step that
+// reads it.
 func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -196,12 +197,19 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 
 		// --- LLC shares across all threads (allocation-weighted) ---
 		// The private shares are final for this iteration, so the L1D and
-		// L1D+L2 lookups made here serve the CPI stacks below as well.
+		// L1D+L2 lookups made here serve the CPI stacks below as well. A
+		// ratio whose capacity has not moved since the previous iteration
+		// looked it up is kept: the same function of the same floats.
 		var wsum float64
 		for i := range weights {
 			prof := p.Profiles[i]
-			mL1[i] = prof.DataMissAt(l1dShare[i])
-			mL2[i] = prof.DataMissAt(l1dShare[i] + l2Share[i])
+			l1Moved := iter == 0 || l1dShare[i] != s.prevL1D[i]
+			if l1Moved {
+				mL1[i] = prof.DataMissAt(l1dShare[i])
+			}
+			if l1Moved || l2Share[i] != s.prevL2[i] {
+				mL2[i] = prof.DataMissAt(l1dShare[i] + l2Share[i])
+			}
 			weights[i] = inv[i].DataPerUop * mL2[i] * rate[i]
 			wsum += weights[i]
 		}
@@ -225,7 +233,9 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		var traffic float64 // blocks per ns
 		for i := range rate {
 			prof := p.Profiles[i]
-			mLLC[i] = prof.DataMissAt(l1dShare[i] + l2Share[i] + llcShare[i])
+			if iter == 0 || l1dShare[i] != s.prevL1D[i] || l2Share[i] != s.prevL2[i] || llcShare[i] != s.prevLLC[i] {
+				mLLC[i] = prof.DataMissAt(l1dShare[i] + l2Share[i] + llcShare[i])
+			}
 			traffic += inv[i].DataPerUop * mLLC[i] * (1 + prof.WritebackFraction) * rate[i]
 		}
 		memLatNs = damp(memLatNs, m.memLatency(traffic, p.Design.MemBandwidthGBps), f)

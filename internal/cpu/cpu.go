@@ -310,6 +310,11 @@ func (c *Core) robGate(t *threadCtx) float64 {
 // ThreadStats returns statistics for context ti.
 func (c *Core) ThreadStats(ti int) ThreadStats { return c.thread[ti].stats }
 
+// RetiredUops returns how many µops context ti has retired: the one
+// statistic the chip's run loop reads after every step, without copying
+// the rest of ThreadStats.
+func (c *Core) RetiredUops(ti int) uint64 { return c.thread[ti].stats.Uops }
+
 // ThreadDone reports whether the context was deactivated.
 func (c *Core) ThreadDone(ti int) bool { return !c.thread[ti].active }
 

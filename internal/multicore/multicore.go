@@ -196,7 +196,7 @@ func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 		core.StepThread(loc.ctx)
 		c.clock++
 		c.served[id] = c.clock
-		if !reached[id] && core.ThreadStats(loc.ctx).Uops >= target {
+		if !reached[id] && core.RetiredUops(loc.ctx) >= target {
 			reached[id] = true
 			remaining--
 		}
@@ -210,7 +210,11 @@ func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 
 // pickNext selects the thread with the smallest front-end time, breaking
 // ties in least-recently-served order (round-robin fetch across contexts).
+// A one-thread chip (every profiling run) has nothing to choose between.
 func (c *Chip) pickNext() int {
+	if len(c.threads) == 1 {
+		return 0
+	}
 	best := -1
 	bestTime := math.Inf(1)
 	var bestServed uint64

@@ -121,6 +121,37 @@ func TestWorkerRoleServesCells(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsMalformedCells: a cell that names an unknown design, no
+// design or no programs is the client's fault, so the worker answers 400,
+// and a coordinator handed that 400 gives the cell up at once: no retry on
+// another worker, no local fallback.
+func TestWorkerRejectsMalformedCells(t *testing.T) {
+	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
+	for _, tc := range []struct{ name, body string }{
+		{"unknown design", `{"key":"k","design":"nope","smt":true,"kind":"homogeneous","n":1,"programs":["mcf"]}`},
+		{"missing design", `{"key":"k","smt":true,"kind":"homogeneous","n":1,"programs":["mcf"]}`},
+		{"no programs", `{"key":"k","design":"4B","smt":true,"kind":"homogeneous","n":1,"programs":[]}`},
+	} {
+		if code, body, _ := postJSON(t, workerTS.URL+cluster.CellPath, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s: code=%d body=%s, want 400", tc.name, code, body)
+		}
+	}
+
+	// The coordinator resolves designs the worker does not know (the
+	// Section 8.1 alternatives), so every cell of this sweep draws a 400.
+	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	d := config.AlternativeDesigns(true)[0]
+	if _, err := coord.SweepDesign(context.Background(), d, study.Heterogeneous); err == nil {
+		t.Fatalf("sweep of %s through a worker that does not know it succeeded, want the worker's rejection", d.Name)
+	}
+	if st := coord.State(); st.Retries != 0 || st.Fallbacks != 0 {
+		t.Errorf("rejected cells: retries=%d fallbacks=%d, want 0 and 0", st.Retries, st.Fallbacks)
+	}
+}
+
 // TestCoordinatorRoleFansOut stands up a worker daemon and a coordinator
 // daemon, runs a sweep through the coordinator's public API, and asserts
 // the response is byte-identical to a solo daemon's — plus the coordinator

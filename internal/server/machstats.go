@@ -201,7 +201,9 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	// The pool's progress hook runs on worker goroutines; the HTTP response
 	// writer is not concurrency-safe, so events funnel through a channel the
 	// handler goroutine drains. A full channel drops the oldest granularity —
-	// progress is monotone, so later events carry strictly more information.
+	// later counts carry strictly more information. Workers take their
+	// counts in order but may send them out of order, so the handler writes
+	// only counts above the last one written, keeping the stream monotone.
 	progCh := make(chan progressEvent, 64)
 	sctx := study.WithProgress(ctx, func(done, total int) {
 		select {
@@ -219,18 +221,25 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		resCh <- outcome{sw, err}
 	}()
 
+	lastDone := 0
+	progress := func(ev progressEvent) {
+		if ev.Done > lastDone {
+			lastDone = ev.Done
+			writeSSE(w, flusher, "progress", ev)
+		}
+	}
 	code := http.StatusOK
 	for {
 		select {
 		case ev := <-progCh:
-			writeSSE(w, flusher, "progress", ev)
+			progress(ev)
 		case out := <-resCh:
 			// Drain progress queued behind the result so the stream never
 			// ends on a stale count.
 			for {
 				select {
 				case ev := <-progCh:
-					writeSSE(w, flusher, "progress", ev)
+					progress(ev)
 					continue
 				default:
 				}

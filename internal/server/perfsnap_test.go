@@ -116,7 +116,10 @@ func TestPerfRingEndpoint(t *testing.T) {
 
 func TestTimestackIncludesHistogramQuantiles(t *testing.T) {
 	_, ts := newTestServer(t, Config{Sim: perfSharedSim()})
-	if code, _, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"8m"}`); code != http.StatusOK {
+	// A heterogeneous sweep (48 cells at the test engine's two mixes) feeds
+	// both histograms; the 288-cell homogeneous one ran past the server's
+	// 60 s deadline under the race detector on a 2-vCPU host.
+	if code, _, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"8m","kind":"heterogeneous"}`); code != http.StatusOK {
 		t.Fatal("sweep failed")
 	}
 	code, body := getJSON(t, ts.URL+"/debug/timestack")

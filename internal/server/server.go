@@ -280,7 +280,8 @@ func statusOf(err error) int {
 		return statusClientClosed
 	case errors.Is(err, config.ErrBadConfig), errors.Is(err, cache.ErrBadConfig),
 		errors.Is(err, mem.ErrBadConfig), errors.Is(err, trace.ErrBadTrace),
-		errors.Is(err, study.ErrBadKind), errors.Is(err, cluster.ErrKeyMismatch):
+		errors.Is(err, study.ErrBadKind), errors.Is(err, cluster.ErrKeyMismatch),
+		errors.Is(err, cluster.ErrBadCell):
 		return http.StatusBadRequest
 	case errors.Is(err, contention.ErrNotConverged), errors.Is(err, contention.ErrDiverged):
 		return http.StatusUnprocessableEntity

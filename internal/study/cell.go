@@ -48,12 +48,13 @@ func (s *Study) CellKey(d config.Design, k Kind, n int, mix workload.Mix) string
 
 // Fingerprint summarizes the engine configuration that must match across a
 // fleet for cell results to be interchangeable: profiling length, mix
-// construction parameters and model options. A worker rejects cells from a
-// coordinator whose fingerprint differs from its own, turning a
-// misconfigured fleet into a loud error instead of silently mixed tables.
+// construction parameters and model options (in canonical form, like the
+// cell key). A worker rejects cells from a coordinator whose fingerprint
+// differs from its own, turning a misconfigured fleet into a loud error
+// instead of silently mixed tables.
 func (s *Study) Fingerprint() string {
 	return fmt.Sprintf("uops=%d|mixes=%d|seed=%d|model=%+v",
-		s.profileUops(), s.MixesPerCount, s.Seed, s.Model)
+		s.profileUops(), s.MixesPerCount, s.Seed, s.Model.Canonical())
 }
 
 // profileUops returns the profiling source's measurement length, the

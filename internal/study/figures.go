@@ -99,7 +99,7 @@ func (s *Study) Figure1(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		resByApp[r], err = parallel.Evaluate(app, d, 20, s.Src)
+		resByApp[r], err = s.evaluateParallel(app, d, 20)
 		return err
 	})
 	if err != nil {

@@ -28,14 +28,26 @@ func heteroParallelDesigns(smt bool) ([]config.Design, error) {
 	return out, nil
 }
 
-// baselineKey caches the per-app baseline: four threads on 4B without SMT.
+// evaluateParallel is parallel.Evaluate memoized per (app, design, SMT,
+// bandwidth, threads). Figures 1, 11, 12, 16 and 17b share the per-app
+// baselines and repeat each other's runs, and a run reads nothing else: it
+// solves under the default model with this study's profiles.
+func (s *Study) evaluateParallel(app parallel.App, d config.Design, threads int) (parallel.Result, error) {
+	key := fmt.Sprintf("%+v|%s|smt=%t|bw=%g|n=%d", app, d.Name, d.SMTEnabled, d.MemBandwidthGBps, threads)
+	return s.parallelRuns.Get(key, func() (parallel.Result, error) {
+		s.parallelComputes.Add(1)
+		return parallel.Evaluate(app, d, threads, s.Src)
+	})
+}
+
+// parallelBaseline is the per-app baseline: four threads on 4B without SMT.
 func (s *Study) parallelBaseline(app parallel.App, bandwidthGBps float64) (parallel.Result, error) {
 	d, err := config.DesignByName("4B", false)
 	if err != nil {
 		return parallel.Result{}, err
 	}
 	d = d.WithBandwidth(bandwidthGBps)
-	return parallel.Evaluate(app, d, 4, s.Src)
+	return s.evaluateParallel(app, d, 4)
 }
 
 // bestSpeedup evaluates app on design d at the allowed thread counts and
@@ -55,7 +67,7 @@ func (s *Study) bestSpeedup(app parallel.App, d config.Design) (roi, whole float
 		if d.SMTEnabled && n > d.HardwareThreads() {
 			continue
 		}
-		res, err := parallel.Evaluate(app, d, n, s.Src)
+		res, err := s.evaluateParallel(app, d, n)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -19,6 +19,7 @@ import (
 	"smtflex/internal/memo"
 	"smtflex/internal/metrics"
 	"smtflex/internal/obs"
+	"smtflex/internal/parallel"
 	"smtflex/internal/power"
 	"smtflex/internal/profiler"
 	"smtflex/internal/sched"
@@ -93,6 +94,9 @@ type Study struct {
 	// sweeps caches design sweeps; keys include the model, so derived
 	// studies share this cache too.
 	sweeps *memo.Cache[string, *Sweep]
+	// parallelRuns caches multi-threaded application runs (see
+	// evaluateParallel); like solo rates they are model-independent.
+	parallelRuns *memo.Cache[string, parallel.Result]
 
 	// solverIters and poolQueue, when non-nil, receive engine-level
 	// observations — contention-solver iteration counts and pool queue waits
@@ -101,10 +105,12 @@ type Study struct {
 	solverIters *obs.Histogram
 	poolQueue   *obs.Histogram
 
-	// soloComputes and sweepComputes count cache-miss computations performed
-	// by this Study — test instrumentation for the singleflight guarantees.
-	soloComputes  atomic.Int64
-	sweepComputes atomic.Int64
+	// soloComputes, sweepComputes and parallelComputes count cache-miss
+	// computations performed by this Study — test instrumentation for the
+	// singleflight and sharing guarantees.
+	soloComputes     atomic.Int64
+	sweepComputes    atomic.Int64
+	parallelComputes atomic.Int64
 	// evals counts EvaluateMix calls: the unit of engine work the pool hands
 	// out, and the observable for cancellation tests (a cancelled sweep's
 	// count stops rising and stays below the full grid).
@@ -143,8 +149,9 @@ func (s *Study) BoundCaches(maxSweeps int) { s.sweeps.Bound(maxSweeps) }
 func New(src *profiler.Source) *Study {
 	return &Study{
 		Src: src, MixesPerCount: 12, Seed: 20140301,
-		solo:   &memo.Cache[string, float64]{Name: "solo"},
-		sweeps: &memo.Cache[string, *Sweep]{Name: "sweeps"},
+		solo:         &memo.Cache[string, float64]{Name: "solo"},
+		sweeps:       &memo.Cache[string, *Sweep]{Name: "sweeps"},
+		parallelRuns: &memo.Cache[string, parallel.Result]{Name: "parallel"},
 	}
 }
 
@@ -339,9 +346,11 @@ type Sweep struct {
 	SolverConverged bool
 }
 
-// sweepKey identifies a sweep in the cache, including the model choices.
+// sweepKey identifies a sweep in the cache, including the model choices in
+// canonical form: a model that spells out a default solves identically, so
+// it shares the default's sweeps.
 func (s *Study) sweepKey(d config.Design, k Kind) string {
-	return fmt.Sprintf("%s|smt=%t|bw=%g|%s|%+v", d.Name, d.SMTEnabled, d.MemBandwidthGBps, k, s.Model)
+	return fmt.Sprintf("%s|smt=%t|bw=%g|%s|%+v", d.Name, d.SMTEnabled, d.MemBandwidthGBps, k, s.Model.Canonical())
 }
 
 // mixesAt returns the workloads evaluated at thread count n.
