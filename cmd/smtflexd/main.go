@@ -30,6 +30,11 @@
 // independent workers and the result digests compared — divergence fails
 // the sweep hard rather than assembling an untrustworthy table.
 //
+// A coordinator's flight records are read from its sweep traces: sweeps in
+// progress plus every sweep still in the -trace-buf ring. With -trace-buf
+// -1 there are none, so /debug/flight answers 404 and a journaled
+// coordinator writes no flight-<sweep>.json beside its journal.
+//
 // Endpoints:
 //
 //	POST /v1/sweep        {"design":"4B","kind":"homogeneous"}
@@ -42,7 +47,7 @@
 //	GET  /debug/traces/{id}       one trace; ?format=chrome for Perfetto
 //	GET  /debug/timestack         per-route wall-time breakdown; ?format=text
 //	GET  /debug/fleet             coordinator: merged worker scrape; ?format=text
-//	GET  /debug/flight            coordinator: recent sweeps' cell lifecycles
+//	GET  /debug/flight            coordinator: cell lifecycles of the traced sweeps
 //	GET  /debug/flight/{sweep}    one flight record (>=8-char prefixes resolve)
 //	GET  /debug/perfsnap          versioned perf snapshot for perfdiff; ?pprof=1 attaches profiles
 //	GET  /debug/perfsnap/ring     continuous profiler's CPU-profile ring (-prof-interval)
@@ -185,7 +190,7 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "log in JSON instead of text")
 	faultSpec := flag.String("faults", "", "DEV ONLY: arm fault injection, e.g. 'solver=error,profiler=latency:50ms,handler=panic:3'")
 	debugAddr := flag.String("debug-addr", "", "serve pprof and trace debug endpoints on this extra address (e.g. 127.0.0.1:6060); keep it loopback-only")
-	traceBuf := flag.Int("trace-buf", 128, "completed request traces kept for /debug/traces (negative disables tracing)")
+	traceBuf := flag.Int("trace-buf", 128, "completed request traces kept for /debug/traces and /debug/flight (negative disables tracing)")
 	machStats := flag.Bool("machstats", true, "collect simulated-hardware counters and CPI stacks, served at /debug/machstats")
 	role := flag.String("role", "solo", "fabric role: solo, coordinator (shard sweeps across -workers) or worker (serve cell dispatches)")
 	workerList := flag.String("workers", "", "comma-separated worker base URLs for -role=coordinator, e.g. http://host1:8080,http://host2:8080")

@@ -121,10 +121,10 @@ type Coordinator struct {
 	storeHits, storeMisses                        atomic.Int64
 	dispatched, retries, hedges, sheds, fallbacks atomic.Int64
 
-	// flight is the sweep flight recorder behind /debug/flight; with a
-	// journal configured it also dumps each finished sweep's record next to
-	// the journal. Nil-safe throughout.
-	flight *flightRecorder
+	// runs are the traced sweeps still computing: the in-progress half of
+	// /debug/flight (see flightview.go).
+	runsMu sync.Mutex
+	runs   []*sweepRun
 
 	// Integrity and durability counters.
 	integrityFailures atomic.Int64 // quarantined corrupt/mismatched responses
@@ -165,13 +165,6 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 			hist: obs.NewHistogram(dispatchBounds),
 		})
 	}
-	flightDir := ""
-	if opts.Journal != nil {
-		flightDir = opts.Journal.Dir()
-	}
-	c.flight = newFlightRecorder(flightDir, func(msg string, err error) {
-		c.log.Warn(msg, "err", err)
-	})
 	c.store.Name = "fleet"
 	if opts.StoreCap > 0 {
 		c.store.Bound(opts.StoreCap)
@@ -281,21 +274,20 @@ func (c *Coordinator) SweepDesign(ctx context.Context, d config.Design, k study.
 type cell struct {
 	n, mi int
 	key   string
-	sweep string // content address of the owning sweep (flight recorder key)
 	d     config.Design
 	mix   workload.Mix
 	req   CellRequest
-	// attempts numbers this cell's dispatch attempts (including hedges and
-	// audits) for span attribution: attempt > 1 is retry/hedge traffic.
+	// attempts numbers the cell's dispatches once they go on the wire (hedges
+	// and audits included): attempt > 1 is retry/hedge traffic, and a
+	// dispatch span without a number never left the coordinator.
 	attempts atomic.Int64
 }
 
 // computeSweep decomposes, dispatches and reassembles one sweep.
 func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study.Kind, prog study.ProgressFunc) (_ *study.Sweep, err error) {
 	ctx, sp := obs.StartSpan(ctx, "cluster.sweep")
-	sp.SetAttr("design", d.Name)
-	sp.SetAttr("kind", k.String())
-	defer sp.End()
+	var run *sweepRun
+	defer func() { c.endSweep(sp, run, err) }()
 
 	sweepID := memo.KeyHash(c.st.SweepKey(d, k))
 	c.Probe(ctx)
@@ -323,7 +315,7 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 			}
 			c.storeMisses.Add(1)
 			cells = append(cells, &cell{
-				n: n, mi: mi, key: key, sweep: sweepID, d: d, mix: mix,
+				n: n, mi: mi, key: key, d: d, mix: mix,
 				req: CellRequest{
 					Key:           key,
 					Fingerprint:   fingerprint,
@@ -339,14 +331,9 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 		}
 	}
 	prefilled := total - len(cells)
-	sp.SetAttr("cells", total)
-	sp.SetAttr("store_hits", prefilled)
-	sp.SetAttr("sweep_id", sweepID)
-	c.flight.begin(sweepID, d.Name, k.String(), total, prefilled)
-	defer func() { c.flight.end(sweepID, err) }()
-	for _, cl := range cells {
-		c.flight.register(sweepID, cl.key, cl.n, cl.mix.ID)
-	}
+	run = c.startRun(ctx, sp, map[string]any{
+		"design": d.Name, "kind": k.String(), "cells": total, "store_hits": prefilled, "sweep_id": sweepID,
+	})
 	if prog != nil && prefilled > 0 {
 		prog(prefilled, total)
 	}
@@ -468,7 +455,7 @@ type integrityError struct {
 }
 
 func (e *integrityError) Error() string {
-	return fmt.Sprintf("cluster: quarantined response from %s: %s", e.worker, e.reason)
+	return fmt.Sprintf("%s from %s: %s", quarantineMsg, e.worker, e.reason)
 }
 
 // breakerDeniedError marks a dispatch blocked by an open breaker (or a
@@ -495,12 +482,19 @@ func neutralDispatchError(err error) bool {
 // hedged against stragglers, retried on other live workers after a loss, and
 // computed locally when the whole fleet is gone — a sweep never stalls on a
 // dead fleet.
-func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (CellResponse, error) {
+func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (_ CellResponse, err error) {
 	ctx, sp := obs.StartSpan(ctx, "cluster.cell")
 	sp.SetAttr("key", cl.key)
 	sp.SetAttr("n", cl.n)
 	sp.SetAttr("mix", cl.mix.ID)
-	defer sp.End()
+	retries := 0
+	defer func() {
+		sp.SetAttr("retries", retries)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.End()
+	}()
 
 	tried := make(map[int]bool)
 	target := self
@@ -516,7 +510,6 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (Cell
 			// sweep still converges (counted, spanned, and identical by
 			// construction — it is the same EvaluateMixCtx the workers run).
 			c.fallbacks.Add(1)
-			c.flight.event(cl.key, FlightFallback, "", "")
 			_, fsp := obs.StartSpan(ctx, "cluster.fallback")
 			fsp.SetAttr("key", cl.key)
 			r, err := c.st.EvaluateMixCtx(ctx, cl.d, cl.mix)
@@ -524,18 +517,16 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (Cell
 			if err != nil {
 				return CellResponse{}, fmt.Errorf("cluster: local fallback for %s: %w", cl.mix.ID, err)
 			}
-			c.flight.complete(cl.sweep, cl.key, "")
 			return toWire(cl.key, r), nil
 		}
 		tried[target] = true
 		resp, winner, err := c.dispatchHedged(ctx, cl, target, tried)
 		if err == nil {
 			c.workers[winner].done.Add(1)
-			sp.SetAttr("worker", c.workers[winner].url)
 			if aerr := c.audit(ctx, cl, resp, winner); aerr != nil {
 				return CellResponse{}, aerr
 			}
-			c.flight.complete(cl.sweep, cl.key, c.workers[winner].url)
+			sp.SetAttr("worker", c.workers[winner].url)
 			return resp, nil
 		}
 		var te *terminalError
@@ -547,7 +538,7 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (Cell
 		// *different* worker, which tried already guarantees: it holds every
 		// worker given this cell, hedge targets included.
 		c.retries.Add(1)
-		c.flight.event(cl.key, FlightRetried, c.workers[target].url, err.Error())
+		retries++
 		c.log.Warn("cell re-dispatch", "key", cl.key, "worker", c.workers[target].url, "err", err)
 		target = c.pickLive(tried)
 	}
@@ -682,7 +673,6 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int,
 				tried[backup] = true
 				hedged = true
 				c.hedges.Add(1)
-				c.flight.event(cl.key, FlightHedged, c.workers[backup].url, "")
 				_, hsp := obs.StartSpan(hctx, "cluster.hedge")
 				hsp.SetAttr("key", cl.key)
 				hsp.SetAttr("worker", c.workers[backup].url)
@@ -709,10 +699,11 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 	ctx, sp := obs.StartSpan(ctx, "cluster.dispatch")
 	sp.SetAttr("worker", ws.url)
 	sp.SetAttr("key", cl.key)
-	sp.SetAttr("attempt", cl.attempts.Add(1))
 	defer sp.End()
 	if !ws.br.tryAcquire(time.Now()) {
-		return CellResponse{}, &breakerDeniedError{ws.url}
+		err := &breakerDeniedError{ws.url}
+		sp.SetAttr("error", err.Error())
+		return CellResponse{}, err
 	}
 	defer func() {
 		switch {
@@ -736,7 +727,7 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 		return CellResponse{}, &terminalError{0, err.Error()}
 	}
 	c.dispatched.Add(1)
-	c.flight.event(cl.key, FlightDispatched, ws.url, "")
+	sp.SetAttr("attempt", cl.attempts.Add(1))
 	ws.inflight.Add(1)
 	defer ws.inflight.Add(-1)
 
@@ -769,19 +760,17 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 			if err := json.Unmarshal(b, &cr); err != nil {
 				c.integrityFailures.Add(1)
 				ierr := &integrityError{ws.url, fmt.Sprintf("undecodable response: %v", err)}
-				c.flight.event(cl.key, FlightQuarantined, ws.url, "undecodable response")
 				sp.SetAttr("error", ierr.Error())
 				return CellResponse{}, ierr
 			}
 			if err := cr.verifyIntegrity(cl.key); err != nil {
 				c.integrityFailures.Add(1)
 				ierr := &integrityError{ws.url, err.Error()}
-				c.flight.event(cl.key, FlightQuarantined, ws.url, err.Error())
 				sp.SetAttr("error", ierr.Error())
 				return CellResponse{}, ierr
 			}
 			ws.hist.Observe(rtt.Seconds())
-			c.flight.attemptDone(cl.key, ws.url, rtt, cr.ComputeNs)
+			sp.SetAttr("compute_ns", cr.ComputeNs)
 			if cr.Trace != nil {
 				// Stitch the worker's subtree under this dispatch span, then
 				// strip it: the spans now live in the coordinator's trace, and
@@ -868,8 +857,8 @@ type WorkerStatus struct {
 	Alive bool `json:"alive"`
 	// Breaker is the breaker's position — "closed", "open" or "half-open" —
 	// BreakerTrips its lifetime open transitions, and BreakerSince when it
-	// entered its current position (so a flight record can be read against
-	// breaker history: "open since 12:03:07" explains a burst of retries).
+	// entered its current position: "open since 12:03:07" explains a burst
+	// of "breaker open" failed events in a sweep's flight record.
 	Breaker      string    `json:"breaker"`
 	BreakerTrips int64     `json:"breaker_trips"`
 	BreakerSince time.Time `json:"breaker_since"`
@@ -998,14 +987,6 @@ func (c *Coordinator) DispatchStats() []DispatchStat {
 	}
 	return out
 }
-
-// FlightList returns the flight recorder's sweep summaries, active sweeps
-// first, then completed ones newest-first.
-func (c *Coordinator) FlightList() []FlightMeta { return c.flight.list() }
-
-// FlightRecordFor returns one sweep's flight record by content address (or
-// unique ≥8-char prefix).
-func (c *Coordinator) FlightRecordFor(sweep string) (*FlightRecord, bool) { return c.flight.get(sweep) }
 
 // CacheCounters exposes the fleet store and sweep cache counters for
 // /metrics. The store's hits/misses are the coordinator's own counters

@@ -9,10 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"smtflex/internal/faults"
 	"smtflex/internal/journal"
+	"smtflex/internal/obs"
 	"smtflex/internal/study"
 )
 
@@ -61,9 +61,12 @@ func TestChaosWireCorruptionQuarantined(t *testing.T) {
 // completed cells in the write-ahead journal; a fresh coordinator (the
 // restarted process) replays them into its store and dispatches only the
 // remainder — and the resumed table is byte-identical to the uninterrupted
-// single-process run.
+// single-process run. The interrupted sweep runs under a trace, so the
+// coordinator tracks it as in progress until it has ended.
 func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 	want := localSweepJSON(t)
+	obs.Enable()
+	t.Cleanup(obs.Disable)
 	for _, nWorkers := range []int{1, 2, 4} {
 		var urls []string
 		for i := 0; i < nWorkers; i++ {
@@ -76,7 +79,9 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 		opts := testOptions()
 		opts.Journal = openTestJournal(t, dir)
 		c1 := newTestCoordinator(t, urls, opts)
-		ctx, cancel := context.WithCancel(context.Background())
+		col := obs.NewCollector(4)
+		ctx, root := obs.StartTrace(context.Background(), col, "/v1/sweep")
+		ctx, cancel := context.WithCancel(ctx)
 		var once sync.Once
 		ctx = study.WithProgress(ctx, func(done, total int) {
 			if done >= 6 {
@@ -87,16 +92,14 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 			t.Fatalf("fleet of %d: interrupted sweep succeeded, want cancellation", nWorkers)
 		}
 		cancel()
+		root.End()
 		// The cancelled caller returns while dispatches already on the wire
-		// finish and journal their cells; the sweep's flight record closes
-		// once they have, and nothing is journaled after that.
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			if fl := c1.FlightList(); len(fl) == 1 && !fl[0].Active {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("fleet of %d: interrupted sweep still running: %+v", nWorkers, c1.FlightList())
-			}
+		// finish and journal their cells; the sweep ends once they have, and
+		// nothing is journaled after that. Its run was listed before the
+		// first cell completed, so it is either still listed or over.
+		waitSweepsEnded(c1)
+		if fl := c1.Flights(col.Snapshots()); len(fl) != 1 || fl[0].Active || fl[0].Err == "" {
+			t.Fatalf("fleet of %d: interrupted sweep's flight records: %+v", nWorkers, fl)
 		}
 		journaled := opts.Journal.Len()
 		if journaled < 6 {

@@ -103,7 +103,7 @@ func Open(dir, fingerprint string) (*Journal, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		if err := writeAtomic(metaPath, b); err != nil {
+		if err := WriteAtomic(metaPath, b); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -173,7 +173,7 @@ func (j *Journal) Put(key string, payload []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		existed = true
 	}
-	if err := writeAtomic(path, b); err != nil {
+	if err := WriteAtomic(path, b); err != nil {
 		j.mu.Lock()
 		j.errs++
 		j.mu.Unlock()
@@ -245,9 +245,9 @@ func digestOf(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// writeAtomic writes b to path via temp file + fsync + rename, the same
-// crash-safety discipline as internal/checkpoint.
-func writeAtomic(path string, b []byte) (err error) {
+// WriteAtomic writes b to path via temp file + fsync + rename, the same
+// crash-safety discipline as internal/checkpoint; flight and perf dumps too.
+func WriteAtomic(path string, b []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

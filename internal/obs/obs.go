@@ -32,9 +32,9 @@ import (
 
 // maxSpansPerTrace bounds one trace's span list; spans beyond the cap are
 // dropped and counted (the root is exempt — see End), so a runaway campaign
-// cannot hold the whole sweep grid in memory. A cold sweep produces well
-// under 1k spans: cache hits are deliberately counted rather than spanned
-// (memo.GetTraced), so span volume scales with real work, not lookups.
+// cannot hold the whole sweep grid in memory. A cold 288-cell fleet sweep
+// stitched 1,907 spans, which flight records are read from; cache hits are
+// counted, not spanned (memo.GetTraced), so span volume tracks real work.
 const maxSpansPerTrace = 8192
 
 // enabled is the disabled-path gate, mirroring internal/faults.active.

@@ -24,6 +24,8 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"smtflex/internal/journal"
+
 	"smtflex/internal/benchjson"
 	"smtflex/internal/buildinfo"
 	"smtflex/internal/machstats"
@@ -210,37 +212,17 @@ func (s *Snapshot) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// WriteFile writes the snapshot atomically (temp file + rename in the target
-// directory, like the journal and flight-recorder dumps) so a crash mid-write
-// never leaves a torn document for a later diff to choke on.
+// WriteFile writes the snapshot crash-safely through the journal's
+// temp-file, fsync and rename writer, like the journal's records and the
+// coordinator's flight-record dumps, so a crash mid-write never leaves a
+// torn document for a later diff to choke on.
 func (s *Snapshot) WriteFile(path string) error {
 	data, err := s.MarshalIndent()
 	if err != nil {
 		return fmt.Errorf("perfdiff: marshal snapshot: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".perfsnap-*.tmp")
-	if err != nil {
+	if err := journal.WriteAtomic(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("perfdiff: write snapshot: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("perfdiff: write snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("perfdiff: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("perfdiff: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("perfdiff: rename snapshot: %w", err)
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 
 // The coordinator-only fleet observability surfaces: GET /debug/fleet merges
 // every live worker's /metrics, /debug/timestack and /debug/machstats into
-// one snapshot, and GET /debug/flight exposes the sweep flight recorder —
-// the per-cell lifecycle log of recent distributed sweeps.
+// one snapshot, and GET /debug/flight renders recent distributed sweeps'
+// per-cell lifecycles from their stitched traces.
 
 // FleetResponse is the /debug/fleet body: the merged worker scrape plus the
 // coordinator's own fleet-category time stacks (where distributed sweep wall
@@ -22,7 +22,7 @@ type FleetResponse struct {
 	CoordinatorStacks []obs.TimeStack `json:"coordinator_stacks,omitempty"`
 }
 
-// FlightListResponse lists the flight recorder's sweeps, active first.
+// FlightListResponse lists the flight records' sweeps, active first.
 type FlightListResponse struct {
 	Sweeps []cluster.FlightMeta `json:"sweeps"`
 }
@@ -54,17 +54,26 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "the flight recorder is a coordinator surface (start with -cluster-workers)"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "flight records are a coordinator surface (start with -cluster-workers)"})
 		return
 	}
+	if s.col == nil {
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "tracing disabled (TraceBuffer < 0): flight records are read from sweep traces"})
+		return
+	}
+	recs := s.coord.Flights(s.col.Snapshots())
 	if sweep := r.PathValue("sweep"); sweep != "" {
-		rec, ok := s.coord.FlightRecordFor(sweep)
+		rec, ok := cluster.FindFlight(recs, sweep)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no flight record for sweep %q (the recorder keeps the most recent sweeps only; prefixes of at least 8 characters resolve)", sweep)})
+			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no flight record for sweep %q (records last as long as their traces in the -trace-buf ring; prefixes of at least 8 characters resolve)", sweep)})
 			return
 		}
 		writeJSON(w, http.StatusOK, rec)
 		return
 	}
-	writeJSON(w, http.StatusOK, FlightListResponse{Sweeps: s.coord.FlightList()})
+	resp := FlightListResponse{Sweeps: make([]cluster.FlightMeta, len(recs))}
+	for i, rec := range recs {
+		resp.Sweeps[i] = rec.FlightMeta
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -157,9 +157,11 @@ func TestFleetEndpointAggregatesAndDegrades(t *testing.T) {
 	}
 }
 
-// TestFlightEndpointRoundTrip pins the flight-recorder surface: after a fleet
-// sweep the coordinator lists the sweep, serves its full record by ID, and
-// 404s unknown sweeps and non-coordinator roles.
+// TestFlightEndpointRoundTrip pins the flight surface, a view of the
+// coordinator's sweep traces: after a fleet sweep the coordinator lists the
+// sweep, serves its full record by ID and by a 12-character prefix, and
+// 404s unknown sweeps, non-coordinator roles, and a coordinator with
+// tracing off.
 func TestFlightEndpointRoundTrip(t *testing.T) {
 	coordTS := newTestFleet(t)
 	if code, body, _ := postJSON(t, coordTS.URL+"/v1/sweep", `{"design":"4B","kind":"heterogeneous"}`); code != http.StatusOK {
@@ -174,20 +176,29 @@ func TestFlightEndpointRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &fl); err != nil {
 		t.Fatalf("decode flight list: %v", err)
 	}
-	if len(fl.Sweeps) != 1 || fl.Sweeps[0].Active {
+	if len(fl.Sweeps) != 1 || fl.Sweeps[0].Active || fl.Sweeps[0].Completed == 0 ||
+		fl.Sweeps[0].Completed != fl.Sweeps[0].Total-fl.Sweeps[0].Prefilled {
 		t.Fatalf("flight list: %+v, want one completed sweep", fl.Sweeps)
 	}
 
-	code, body = getJSON(t, coordTS.URL+"/debug/flight/"+fl.Sweeps[0].Sweep)
-	if code != http.StatusOK {
-		t.Fatalf("/debug/flight/{sweep}: code=%d body=%s", code, body)
-	}
-	var rec cluster.FlightRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		t.Fatalf("decode flight record: %v", err)
-	}
-	if rec.Sweep != fl.Sweeps[0].Sweep || len(rec.Cells) == 0 {
-		t.Fatalf("flight record sweep=%s cells=%d", rec.Sweep, len(rec.Cells))
+	id := fl.Sweeps[0].Sweep
+	for _, ref := range []string{id, id[:12]} {
+		code, body = getJSON(t, coordTS.URL+"/debug/flight/"+ref)
+		if code != http.StatusOK {
+			t.Fatalf("/debug/flight/%s: code=%d body=%s", ref, code, body)
+		}
+		var rec cluster.FlightRecord
+		if err := json.Unmarshal(body, &rec); err != nil {
+			t.Fatalf("decode flight record: %v", err)
+		}
+		if rec.Sweep != id || len(rec.Cells) != fl.Sweeps[0].Completed {
+			t.Fatalf("flight record %s: sweep=%s cells=%d", ref, rec.Sweep, len(rec.Cells))
+		}
+		for _, c := range rec.Cells {
+			if !c.Done || c.Worker == "" || c.Attempts == 0 {
+				t.Fatalf("flight record %s: cell %+v", ref, c)
+			}
+		}
 	}
 
 	if code, body := getJSON(t, coordTS.URL+"/debug/flight/deadbeef0000"); code != http.StatusNotFound {
@@ -196,6 +207,17 @@ func TestFlightEndpointRoundTrip(t *testing.T) {
 	_, soloTS := newTestServer(t, Config{})
 	if code, body := getJSON(t, soloTS.URL+"/debug/flight"); code != http.StatusNotFound {
 		t.Errorf("solo /debug/flight: code=%d body=%s, want 404", code, body)
+	}
+
+	dark, err := cluster.NewCoordinator(sharedSim().Study(), []string{coordTS.URL}, cluster.Options{Logger: quietLogger()})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	_, darkTS := newTestServer(t, Config{Coordinator: dark, TraceBuffer: -1})
+	for _, path := range []string{"/debug/flight", "/debug/flight/" + id} {
+		if code, body := getJSON(t, darkTS.URL+path); code != http.StatusNotFound || !strings.Contains(string(body), "tracing disabled") {
+			t.Errorf("%s with tracing off: code=%d body=%s, want 404 naming tracing", path, code, body)
+		}
 	}
 }
 

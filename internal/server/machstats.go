@@ -189,13 +189,16 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release()
+	// Traced like endpoint() routes, so a coordinator's streamed sweep has a flight record.
+	tctx, root := obs.StartTrace(rctx, s.col, sweepStreamRoute)
+	defer root.End()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	ctx, cancel := context.WithTimeout(rctx, timeout)
+	ctx, cancel := context.WithTimeout(tctx, timeout)
 	defer cancel()
 
 	// The pool's progress hook runs on worker goroutines; the HTTP response

@@ -177,8 +177,8 @@ func (s *Server) StartPerfLoops(ctx context.Context) (wait func()) {
 // driftLoop periodically compares live engine histograms against the armed
 // baseline. Every drifted quantile bumps smtflexd_perf_drift_total; the first
 // maxDriftDumps drift events also capture a full snapshot next to the journal
-// (atomic temp+rename, like flight-recorder dumps) so the postmortem has the
-// state from the moment of the shift, not from whenever someone noticed.
+// (crash-safe, like the journal's records and flight dumps) so the postmortem
+// has the state from the moment of the shift, not from whenever someone noticed.
 func (s *Server) driftLoop(ctx context.Context) {
 	t := time.NewTicker(s.perf.driftInterval)
 	defer t.Stop()

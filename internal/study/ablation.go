@@ -22,7 +22,8 @@ import (
 // construction but solves with model m. Solo rates are model-independent
 // (they come from contention.Solve on the default model), so the derived
 // study shares the solo cache rather than recomputing identical rates; the
-// sweep cache is shared too because its keys include the model.
+// sweep cache is shared too because its keys include the model, and so is
+// the evaluation counter, so Evaluations covers the ablations' cells.
 func (s *Study) withModel(m contention.Model) *Study {
 	alt := New(s.Src)
 	alt.MixesPerCount = s.MixesPerCount
@@ -32,6 +33,7 @@ func (s *Study) withModel(m contention.Model) *Study {
 	alt.solo = s.solo
 	alt.sweeps = s.sweeps
 	alt.parallelRuns = s.parallelRuns
+	alt.evals = s.evals
 	alt.solverIters = s.solverIters
 	alt.poolQueue = s.poolQueue
 	return alt

@@ -147,6 +147,25 @@ func TestWithModelSharesSoloCache(t *testing.T) {
 	}
 }
 
+// TestWithModelCountsEvaluations: a model-derived Study's cells count in the
+// base study's Evaluations, the observable behind the daemon's engine
+// evaluation metric and the campaign ledger's cell count.
+func TestWithModelCountsEvaluations(t *testing.T) {
+	s := newEngineStudy(0)
+	alt := s.withModel(contention.Model{EqualLLCShares: true})
+	d, err := config.DesignByName("4B", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Evaluations()
+	if _, err := alt.SweepDesign(context.Background(), d, Heterogeneous); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Evaluations()-before, int64(MaxThreads*s.MixesPerCount); got != want {
+		t.Errorf("derived-model sweep raised the base study's evaluations by %d, want %d", got, want)
+	}
+}
+
 func TestSoloRateUnknownBenchmark(t *testing.T) {
 	s := newEngineStudy(0)
 	if _, err := s.SoloRate("no-such-benchmark"); err == nil {

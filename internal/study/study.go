@@ -113,8 +113,9 @@ type Study struct {
 	parallelComputes atomic.Int64
 	// evals counts EvaluateMix calls: the unit of engine work the pool hands
 	// out, and the observable for cancellation tests (a cancelled sweep's
-	// count stops rising and stays below the full grid).
-	evals atomic.Int64
+	// count stops rising and stays below the full grid). withModel-derived
+	// ablation studies share it by pointer, so their cells count too.
+	evals *atomic.Int64
 }
 
 // Evaluations returns the number of mix evaluations this Study has run. It
@@ -152,6 +153,7 @@ func New(src *profiler.Source) *Study {
 		solo:         &memo.Cache[string, float64]{Name: "solo"},
 		sweeps:       &memo.Cache[string, *Sweep]{Name: "sweeps"},
 		parallelRuns: &memo.Cache[string, parallel.Result]{Name: "parallel"},
+		evals:        new(atomic.Int64),
 	}
 }
 
