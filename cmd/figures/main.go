@@ -6,12 +6,14 @@
 //	figures -exp all
 //	figures -exp fig8,fig11 -uops 300000
 //	figures -exp all -csv out/
-//	figures -exp all -checkpoint run.ckpt   # resumable campaign
+//	figures -exp all -journal run.jnl   # resumable campaign
 //
-// With -checkpoint, every completed figure (and the measured profile cache)
-// is persisted crash-safely after it finishes; re-running the same command
-// after a crash resumes the campaign, skipping finished figures and reusing
-// measured profiles, and reproduces byte-identical tables.
+// With -journal DIR, the measured profiles and every completed figure are
+// journaled crash-safely after each figure (see internal/journal);
+// re-running the same command after a crash resumes the campaign, skipping
+// finished figures and re-measuring no profile, and reproduces
+// byte-identical tables. The journal is guarded by the campaign parameters
+// (-uops, -mixes): a run with other values wipes it and starts fresh.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"time"
 
 	"smtflex/internal/buildinfo"
-	"smtflex/internal/checkpoint"
 	"smtflex/internal/core"
 	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
@@ -40,7 +41,7 @@ func main() {
 	mixes := flag.Int("mixes", 12, "random heterogeneous mixes per thread count")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the experiment engine (1 = serial)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	ckptPath := flag.String("checkpoint", "", "persist completed figures to this file and resume from it on restart")
+	journalDir := flag.String("journal", "", "journal directory for completed figures and measured profiles; a restarted campaign replays it and computes only the remainder")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the campaign here and print a time-stack report to stderr")
 	machPath := flag.String("machstats", "", "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv after the campaign")
 	perfsnapDir := flag.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the campaign")
@@ -108,58 +109,31 @@ func main() {
 		perfArm = perfdiff.ArmCLI("figures", sim.Study(), col)
 	}
 
-	var ckpt *checkpoint.Manager
-	if *ckptPath != "" {
-		var resumed int
-		var err error
-		ckpt, resumed, err = checkpoint.Open(*ckptPath, checkpoint.Fingerprint{UopCount: *uops, Mixes: *mixes})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		if resumed > 0 {
-			fmt.Fprintf(os.Stderr, "figures: resuming from %s: %d figure(s) already complete\n", *ckptPath, resumed)
-		}
-		// The measured profiles are the expensive state inside an unfinished
-		// figure: reload them so a resumed campaign re-solves but never
-		// re-measures.
-		profPath := checkpoint.ProfilesPath(*ckptPath)
-		if _, statErr := os.Stat(profPath); statErr == nil {
-			n, err := sim.Source().LoadJSONFile(profPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "figures: reloaded %d measured profile(s) from %s\n", n, profPath)
-		}
+	camp, err := sim.OpenCampaign(*journalDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
+	}
+	if camp.Resumed > 0 {
+		fmt.Fprintf(os.Stderr, "figures: resuming from %s: %d figure(s) already complete\n", *journalDir, camp.Resumed)
+	}
+	if camp.Reloaded > 0 {
+		fmt.Fprintf(os.Stderr, "figures: reloaded %d measured profile(s) from %s\n", camp.Reloaded, *journalDir)
 	}
 
 	for _, id := range ids {
 		start := time.Now()
-		var tab *study.Table
-		if ckpt != nil {
-			if t, ok := ckpt.Table(id); ok {
-				fmt.Printf("== %s (resumed) ==\n%s\n", id, t)
-				writeCSV(*csvDir, id, t)
-				continue
-			}
+		if tab, ok := camp.Table(id); ok {
+			fmt.Printf("== %s (resumed) ==\n%s\n", id, tab)
+			writeCSV(*csvDir, id, tab)
+			continue
 		}
 		tctx, root := obs.StartTrace(context.Background(), col, id)
-		tab, err := sim.Figure(tctx, id)
+		tab, err := camp.Figure(tctx, id)
 		root.End()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", id, err)
 			os.Exit(1)
-		}
-		if ckpt != nil {
-			if err := ckpt.Put(id, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-				os.Exit(1)
-			}
-			if err := sim.Source().SaveJSONFile(checkpoint.ProfilesPath(*ckptPath)); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		fmt.Printf("== %s (%.1fs) ==\n%s\n", id, time.Since(start).Seconds(), tab)
 		writeCSV(*csvDir, id, tab)

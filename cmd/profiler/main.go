@@ -12,12 +12,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
 	"smtflex/internal/buildinfo"
 	"smtflex/internal/config"
+	"smtflex/internal/journal"
 	"smtflex/internal/profiler"
 	"smtflex/internal/workload"
 )
@@ -34,7 +36,7 @@ func main() {
 	coreType := flag.String("core", "all", "core type: big, medium, small or 'all'")
 	uops := flag.Uint64("uops", 200_000, "µops per measurement run")
 	curves := flag.Bool("curves", false, "also print the miss-ratio curves")
-	load := flag.String("load", "", "load previously saved profiles from this JSON file")
+	load := flag.String("load", "", "load previously saved profiles from this JSON file (saved at the same -uops)")
 	save := flag.String("save", "", "save all measured profiles to this JSON file")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Usage = func() {
@@ -52,9 +54,14 @@ func main() {
 
 	src := profiler.NewSource(*uops)
 	if *load != "" {
-		n, err := src.LoadJSONFile(*load)
+		f, err := os.Open(*load)
 		if err != nil {
 			fail(1, "%v", err)
+		}
+		n, err := src.LoadJSON(f)
+		f.Close()
+		if err != nil {
+			fail(1, "%s: %v", *load, err)
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d profiles from %s\n", n, *load)
 	}
@@ -109,9 +116,13 @@ func main() {
 	}
 
 	if *save != "" {
-		// Crash-safe: temp file in the same directory + atomic rename, so an
-		// interrupted run never truncates an existing profile file.
-		if err := src.SaveJSONFile(*save); err != nil {
+		// Crash-safe: an interrupted run never truncates an existing
+		// profile file.
+		var buf bytes.Buffer
+		if err := src.SaveJSON(&buf); err != nil {
+			fail(1, "%v", err)
+		}
+		if err := journal.WriteAtomic(*save, buf.Bytes()); err != nil {
 			fail(1, "%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "saved profiles to %s\n", *save)

@@ -1,27 +1,28 @@
-// Package journal is a write-ahead journal of completed sweep cells: the
-// durability half of the cluster fabric's crash-recovery story. A
-// coordinator appends one record per completed cell; a coordinator that is
-// kill -9'd mid-sweep reopens the journal on restart, replays the finished
-// cells into its result store, and re-dispatches only the remainder —
-// producing tables byte-identical to an uninterrupted run, because replayed
-// cells feed the exact wire payload the original dispatch produced.
+// Package journal is a write-ahead journal of completed work: the one
+// durability layer behind both crash-recovery paths. A coordinator appends
+// one record per completed sweep cell, keyed by the cell's content address;
+// the figures and report CLIs append one record per finished figure, keyed
+// by its id, plus a "profiles" record holding the measured profiles. A
+// process that is kill -9'd mid-campaign reopens the journal on restart,
+// replays the finished records, and redoes only the remainder — producing
+// tables byte-identical to an uninterrupted run, because replayed records
+// carry the exact bytes the original computation produced.
 //
 // The format is one file per record in a flat directory:
 //
 //	<dir>/meta.json          {"version":1,"fingerprint":"..."}
 //	<dir>/cells/<key>.json   {"version":1,"key":"...","digest":"...","payload":{...}}
 //
-// Every write follows the checkpoint package's crash-safety discipline:
-// temp file in the destination directory, fsync, atomic rename. A crash
-// mid-write leaves at worst an orphaned temp file, never a torn record.
-// Records carry a SHA-256 digest of their payload bytes, so a record
-// corrupted at rest (disk fault, manual tampering) is detected and dropped
-// on replay instead of poisoning a resumed table.
+// Every write goes through WriteAtomic: temp file in the destination
+// directory, fsync, atomic rename. A crash mid-write leaves at worst an
+// orphaned temp file, never a torn record. Records carry a SHA-256 digest
+// of their payload bytes, so a record corrupted at rest (disk fault, manual
+// tampering) is detected and dropped on replay instead of poisoning a
+// resumed table.
 //
-// Like internal/checkpoint, the journal is fingerprint-guarded: opening a
-// journal written under a different engine fingerprint wipes it, because
-// cells from a differently configured engine must never be replayed into
-// this one's tables.
+// The journal is fingerprint-guarded: opening a journal written under a
+// different engine fingerprint wipes it, because records from a differently
+// configured engine must never be replayed into this one's tables.
 package journal
 
 import (
@@ -46,10 +47,11 @@ type meta struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// record is one journaled cell on disk.
+// record is one journal record on disk.
 type record struct {
 	Version int `json:"version"`
-	// Key is the cell's content address (echoed in the filename).
+	// Key names the record (echoed in the filename): a cell's content
+	// address, a figure id or "profiles".
 	Key string `json:"key"`
 	// Digest is the SHA-256 hex of Payload's exact bytes; replay drops
 	// records whose payload no longer matches.
@@ -57,16 +59,15 @@ type record struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Journal is an open cell journal. It is safe for concurrent Put calls:
+// Journal is an open journal. It is safe for concurrent Put calls:
 // records land in distinct files via unique temp names and atomic renames.
 type Journal struct {
 	dir   string
 	cells string
 
 	mu      sync.Mutex
-	n       int   // records currently on disk (valid at last Open/Replay + Puts since)
-	errs    int64 // Put failures observed by the owner (informational)
-	dropped int   // records dropped by the last Replay (corrupt/foreign)
+	n       int // records currently on disk (valid at last Open/Replay + Puts since)
+	dropped int // records dropped by the last Replay (corrupt/foreign)
 }
 
 // Open opens (or creates) the journal at dir for the given engine
@@ -134,10 +135,11 @@ func (j *Journal) Dropped() int {
 	return j.dropped
 }
 
-// validKey reports whether key is safe to use verbatim as a filename. The
-// cluster layer's keys are lowercase-hex SHA-256 content addresses, which
-// pass trivially; anything else is rejected rather than escaped, keeping
-// the on-disk mapping bijective.
+// validKey reports whether key is safe to use verbatim as a filename:
+// lowercase letters, digits and '-'. The coordinator's keys are
+// lowercase-hex SHA-256 content addresses and the CLIs' are figure ids and
+// "profiles", which all pass; anything else is rejected rather than
+// escaped, keeping the on-disk mapping bijective.
 func validKey(key string) bool {
 	if key == "" || len(key) > 128 {
 		return false
@@ -151,37 +153,30 @@ func validKey(key string) bool {
 	return true
 }
 
-// Put appends (or overwrites) the record for key with the given payload
-// bytes, crash-safely. The payload must be the exact bytes the caller will
-// want back from Replay.
+// Put appends (or overwrites) the record for key with the given JSON
+// payload, crash-safely. The record embeds the payload compacted, as
+// encoding/json renders it, and digests those bytes: Replay returns
+// json.Marshal output exactly, and an indented payload compacted.
 func (j *Journal) Put(key string, payload []byte) error {
 	if !validKey(key) {
-		return fmt.Errorf("journal: invalid record key %q (want a lowercase-hex content address)", key)
+		return fmt.Errorf("journal: invalid record key %q (want lowercase letters, digits and '-')", key)
 	}
-	rec := record{
-		Version: version,
-		Key:     key,
-		Digest:  digestOf(payload),
-		Payload: json.RawMessage(payload),
+	payload, err := json.Marshal(json.RawMessage(payload))
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
-	b, err := json.Marshal(rec)
+	b, err := json.Marshal(record{Version: version, Key: key, Digest: digestOf(payload), Payload: payload})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	path := filepath.Join(j.cells, key+".json")
-	existed := false
-	if _, err := os.Stat(path); err == nil {
-		existed = true
-	}
+	_, statErr := os.Stat(path)
 	if err := WriteAtomic(path, b); err != nil {
-		j.mu.Lock()
-		j.errs++
-		j.mu.Unlock()
 		return err
 	}
 	j.mu.Lock()
-	if !existed {
-		j.n++
+	if statErr != nil {
+		j.n++ // a new record, not an overwrite
 	}
 	j.mu.Unlock()
 	return nil
@@ -245,8 +240,10 @@ func digestOf(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WriteAtomic writes b to path via temp file + fsync + rename, the same
-// crash-safety discipline as internal/checkpoint; flight and perf dumps too.
+// WriteAtomic writes b to path via temp file + fsync + rename, so a crash
+// mid-write leaves the previous file intact rather than a truncated one. It
+// writes every journal record and meta file, and flight dumps, perf
+// snapshots and saved profile files too.
 func WriteAtomic(path string, b []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -243,3 +243,67 @@ func TestJournalConcurrentPuts(t *testing.T) {
 		t.Fatalf("Replay: replayed=%d dropped=%d err=%v", replayed, dropped, err)
 	}
 }
+
+// TestJournalIndentedPayloadReplays: a payload written by a JSON encoder
+// (indented, trailing newline) is embedded compacted, and must still pass
+// its digest on replay instead of being dropped as corrupt.
+func TestJournalIndentedPayloadReplays(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Put("profiles", []byte("{\n \"uop_count\": 4000,\n \"name\": \"<a&b>\"\n}\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Put("bad", []byte("{\"torn\":")); err == nil {
+		t.Fatal("Put accepted a payload that is not JSON")
+	}
+	j2, _, err := Open(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	replayed, dropped, err := j2.Replay(func(_ string, p []byte) { got = string(p) })
+	if err != nil || replayed != 1 || dropped != 0 {
+		t.Fatalf("Replay: replayed=%d dropped=%d err=%v", replayed, dropped, err)
+	}
+	var v struct {
+		UopCount int    `json:"uop_count"`
+		Name     string `json:"name"`
+	}
+	if err := json.Unmarshal([]byte(got), &v); err != nil || v.UopCount != 4000 || v.Name != "<a&b>" {
+		t.Fatalf("replayed %q (%+v, %v)", got, v, err)
+	}
+}
+
+// TestWriteAtomicMissingDirFails: a write into a directory that does not
+// exist fails without touching anything, and successful writes leave only
+// their destination behind — no temp residue either way.
+func TestWriteAtomicMissingDirFails(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "profiles.json")
+	if err := WriteAtomic(path, []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(path, []byte(`{"v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(filepath.Join(dir, "nosuchdir", "p.json"), []byte(`{}`)); err == nil {
+		t.Fatal("write into missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "profiles.json" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory not clean after writes: %v", names)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != `{"v":2}` {
+		t.Fatalf("destination holds %q (%v), want the last write", b, err)
+	}
+}

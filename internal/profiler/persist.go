@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"smtflex/internal/config"
@@ -18,7 +16,8 @@ import (
 type profileFile struct {
 	// Version guards against format drift.
 	Version int `json:"version"`
-	// UopCount and Warmup record the measurement fidelity.
+	// UopCount and Warmup record the measurement fidelity; LoadJSON
+	// refuses a file recorded at another.
 	UopCount uint64          `json:"uop_count"`
 	Warmup   uint64          `json:"warmup"`
 	Profiles []storedProfile `json:"profiles"`
@@ -54,50 +53,12 @@ func (s *Source) SaveJSON(w io.Writer) error {
 	return enc.Encode(file)
 }
 
-// SaveJSONFile writes the profiles to path crash-safely: the data goes to a
-// temporary file in the same directory, is fsynced, and then atomically
-// renamed over the destination. A crash mid-write leaves the previous file
-// intact rather than a truncated JSON document.
-func (s *Source) SaveJSONFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = s.SaveJSON(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	return nil
-}
-
-// LoadJSONFile loads profiles from path; see LoadJSON.
-func (s *Source) LoadJSONFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("profiler: loading profiles: %w", err)
-	}
-	defer f.Close()
-	return s.LoadJSON(f)
-}
-
 // LoadJSON populates the cache with previously saved profiles; subsequent
 // Profile calls for those keys return the loaded data without simulation.
-// It returns the number of profiles loaded.
+// The file must record the source's own fidelity (UopCount and Warmup): a
+// profile measured over other windows is not what this source would
+// measure, so a mismatch is refused. It returns the number of profiles
+// loaded.
 func (s *Source) LoadJSON(r io.Reader) (int, error) {
 	var file profileFile
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
@@ -105,6 +66,10 @@ func (s *Source) LoadJSON(r io.Reader) (int, error) {
 	}
 	if file.Version != persistVersion {
 		return 0, fmt.Errorf("profiler: profile file version %d, want %d", file.Version, persistVersion)
+	}
+	if file.UopCount != s.UopCount || file.Warmup != s.Warmup {
+		return 0, fmt.Errorf("profiler: profiles measured at %d µops (warmup %d), source measures %d µops (warmup %d)",
+			file.UopCount, file.Warmup, s.UopCount, s.Warmup)
 	}
 	n := 0
 	for _, sp := range file.Profiles {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"smtflex/internal/config"
+	"smtflex/internal/journal"
 )
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -21,7 +22,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := NewSource(1) // tiny source: loaded profiles must shadow measurement
+	fresh := NewSource(src.UopCount)
 	n, err := fresh.LoadJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -37,24 +38,32 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(*gotSmall, *origSmall) {
 		t.Fatal("mcf profile did not survive the roundtrip")
 	}
+	// Loaded profiles shadow measurement: the fresh source never simulated.
+	if runs := fresh.measureRuns.Load(); runs != 0 {
+		t.Fatalf("fresh source measured %d time(s) despite loaded profiles", runs)
+	}
 }
 
+// TestSaveJSONFileAtomic covers the file path that cmd/profiler -save and
+// -load take: SaveJSON bytes written by journal.WriteAtomic, read back by
+// LoadJSON. A failed save must not touch existing content or leave temp
+// files behind.
 func TestSaveJSONFileAtomic(t *testing.T) {
 	src := source()
 	orig := mustProfile(t, src, spec(t, "tonto"), config.Big)
+	var buf bytes.Buffer
+	if err := src.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "profiles.json")
-	// Pre-existing good content must survive a failed save attempt: saving
-	// into an unwritable directory must not touch the destination.
-	if err := src.SaveJSONFile(path); err != nil {
+	if err := journal.WriteAtomic(path, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SaveJSONFile(filepath.Join(dir, "nosuchdir", "p.json")); err == nil {
+	if err := journal.WriteAtomic(filepath.Join(dir, "nosuchdir", "p.json"), buf.Bytes()); err == nil {
 		t.Fatal("save into missing directory succeeded")
 	}
-
-	// No temp files may be left behind, whether the save succeeded or failed.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +76,13 @@ func TestSaveJSONFileAtomic(t *testing.T) {
 		t.Fatalf("directory not clean after saves: %v", names)
 	}
 
-	fresh := NewSource(1)
-	if _, err := fresh.LoadJSONFile(path); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fresh := NewSource(src.UopCount)
+	if _, err := fresh.LoadJSON(f); err != nil {
 		t.Fatal(err)
 	}
 	got := mustProfile(t, fresh, spec(t, "tonto"), config.Big)
@@ -77,9 +91,42 @@ func TestSaveJSONFileAtomic(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsFidelityMismatch: a profile file records the windows it
+// was measured over, and a source measuring other windows must refuse it
+// rather than serve another fidelity's profiles under its own label.
+func TestLoadRejectsFidelityMismatch(t *testing.T) {
+	src := source()
+	mustProfile(t, src, spec(t, "tonto"), config.Big)
+	var buf bytes.Buffer
+	if err := src.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	other := NewSource(2 * src.UopCount)
+	n, err := other.LoadJSON(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		t.Fatalf("loaded %d profiles measured at %d µops into a %d-µop source", n, src.UopCount, other.UopCount)
+	}
+	for _, want := range []string{"60000 µops", "120000 µops"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if n != 0 || other.profiles.Len() != 0 {
+		t.Fatalf("mismatched load left %d profile(s) behind", other.profiles.Len())
+	}
+
+	// A different warmup over the same measured window is another fidelity too.
+	warm := NewSource(src.UopCount)
+	warm.Warmup = src.Warmup / 2
+	if _, err := warm.LoadJSON(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("profiles with a different warmup accepted")
+	}
+}
+
 func TestLoadRejectsBadVersion(t *testing.T) {
 	s := NewSource(1)
-	if _, err := s.LoadJSON(strings.NewReader(`{"version":99,"profiles":[]}`)); err == nil {
+	if _, err := s.LoadJSON(strings.NewReader(`{"version":99,"uop_count":1,"warmup":2,"profiles":[]}`)); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -90,11 +137,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("truncated JSON accepted")
 	}
 	if _, err := s.LoadJSON(strings.NewReader(
-		`{"version":1,"profiles":[{"benchmark":"x","core":"giant","profile":{}}]}`)); err == nil {
+		`{"version":1,"uop_count":1,"warmup":2,"profiles":[{"benchmark":"x","core":"giant","profile":{}}]}`)); err == nil {
 		t.Fatal("unknown core type accepted")
 	}
 	if _, err := s.LoadJSON(strings.NewReader(
-		`{"version":1,"profiles":[{"benchmark":"x","core":"big","profile":{}}]}`)); err == nil {
+		`{"version":1,"uop_count":1,"warmup":2,"profiles":[{"benchmark":"x","core":"big","profile":{}}]}`)); err == nil {
 		t.Fatal("invalid profile body accepted")
 	}
 }
