@@ -56,16 +56,17 @@ func TestStackProfilerMatchesNaiveLRU(t *testing.T) {
 }
 
 // TestStackProfilerMatchesNaiveLRUAcrossGrowth runs the oracle comparison
-// on a stream long enough to double the Fenwick tree several times, mixing
-// a hot set with a wide one so distances straddle every growth.
+// on a stream long enough to double the Fenwick tree and the block table
+// several times, mixing a hot set with a wide one so distances straddle
+// every growth.
 func TestStackProfilerMatchesNaiveLRUAcrossGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := NewStackProfiler(0)
-	initial := p.live.size()
+	initial, initialSlots := p.live.size(), len(p.last.slots)
 	refs := make([]uint64, 9000)
 	for i := range refs {
 		if rng.Intn(4) == 0 {
-			refs[i] = 1000 + uint64(rng.Intn(700))
+			refs[i] = 1000 + uint64(rng.Intn(2000))
 		} else {
 			refs[i] = uint64(rng.Intn(24))
 		}
@@ -76,7 +77,10 @@ func TestStackProfilerMatchesNaiveLRUAcrossGrowth(t *testing.T) {
 	if p.live.size() < 4*initial {
 		t.Fatalf("tree grew from %d to %d timestamps, want at least two doublings", initial, p.live.size())
 	}
-	for capacity := 1; capacity <= 1024; capacity *= 2 {
+	if len(p.last.slots) < 2*initialSlots {
+		t.Fatalf("block table grew from %d to %d slots, want at least one doubling", initialSlots, len(p.last.slots))
+	}
+	for capacity := 1; capacity <= 4096; capacity *= 2 {
 		want := float64(naiveLRUMisses(refs, capacity)) / float64(len(refs))
 		if got := p.MissRatio(capacity); got != want {
 			t.Errorf("capacity %d: miss ratio %g, naive LRU %g", capacity, got, want)

@@ -13,6 +13,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"smtflex/internal/branch"
 	"smtflex/internal/cache"
@@ -46,6 +47,31 @@ const BTBMissPenalty = 2
 // depWindow is how far back register dependencies are tracked; the trace
 // generator never emits longer distances.
 const depWindow = 512
+
+// Functional-unit groups; each has one bandwidth watermark per core.
+const (
+	fuALU = iota
+	fuLS
+	fuMD
+	fuFP
+	numFUs
+)
+
+// fuOf maps a µop class to its unit group; IntAlu, Branch and Jump use the
+// zero value, the ALUs.
+var fuOf = [isa.NumClasses]uint8{
+	isa.IntMul: fuMD, isa.IntDiv: fuMD,
+	isa.FpAdd: fuFP, isa.FpMul: fuFP, isa.FpDiv: fuFP,
+	isa.Load: fuLS, isa.Store: fuLS,
+}
+
+// latency is Class.Latency as a float64, by class.
+var latency = func() (l [isa.NumClasses]float64) {
+	for cl := range l {
+		l[cl] = float64(isa.Class(cl).Latency())
+	}
+	return l
+}()
 
 // Ideal flags selectively perfect parts of the machine; the profiler uses
 // them to measure CPI components by successive idealization.
@@ -140,14 +166,21 @@ func (s ThreadStats) IPC() float64 {
 // threadCtx is one hardware thread context.
 type threadCtx struct {
 	reader trace.Reader
+	// replay is reader's concrete type when it replays a recording: the
+	// core then decodes each µop in place instead of calling the interface.
+	replay *trace.Replay
 	active bool
 	// seq is the number of µops dispatched.
 	seq uint64
-	// doneAt[i%depWindow] is the completion time of µop i.
-	doneAt [depWindow]float64
+	// doneAt[i%depWindow] is the completion time of µop i. The extra last
+	// slot holds -Inf, which never delays a µop: a source outside the
+	// window reads it instead of taking a branch of its own.
+	doneAt [depWindow + 1]float64
 	// commitAt[i%robCap] is the commit time of µop i; sized to the maximum
-	// partition so repartitioning never reallocates.
+	// partition so repartitioning never reallocates. head is seq%robCap,
+	// the slot of the next µop.
 	commitAt []float64
+	head     int
 	// frontAvail is the earliest cycle the front end can deliver the next µop.
 	frontAvail float64
 	// lastCommit is the commit time of the previous µop (in-order commit).
@@ -175,14 +208,22 @@ type Core struct {
 	thread []*threadCtx
 
 	// dispatchFree is the next cycle fraction at which a dispatch slot is
-	// available; each µop consumes 1/width.
+	// available; each µop consumes slot, 1/width.
 	dispatchFree float64
+	slot         float64
+	// robCap is each context's commit-window size, and part the ROB slots
+	// each context may fill: robPartition for out-of-order cores (at most
+	// robCap), robCap for in-order ones. part changes only when a context
+	// is attached or deactivated.
+	robCap, part int
 	// Functional-unit bandwidth watermarks, one per unit group. Contention
 	// is modelled as bandwidth in processing-order time rather than as
 	// future reservations: a µop whose operands are ready far in the future
-	// must not block the unit for other (SMT) µops issuing earlier.
-	aluClock, lsClock, mdClock, fpClock float64
-	aluPerOp, lsPerOp, mdPerOp, fpPerOp float64
+	// must not block the unit for other (SMT) µops issuing earlier. occ is
+	// the group time one µop of each class takes: 1/units, times the
+	// latency for the unpipelined dividers.
+	fuClock [numFUs]float64
+	occ     [isa.NumClasses]float64
 }
 
 // NewCore builds a core. mem must not be nil; cfg must validate. Both
@@ -195,16 +236,29 @@ func NewCore(cfg config.Core, id int, mem MemorySystem, smtOn bool, ideal Ideal)
 	if mem == nil {
 		return nil, fmt.Errorf("cpu: nil memory system for core %d", id)
 	}
+	robCap := cfg.ROBSize
+	if robCap == 0 {
+		robCap = 2 * cfg.Width // in-order: small commit window
+	}
 	c := &Core{
-		cfg:      cfg,
-		id:       id,
-		mem:      mem,
-		ideal:    ideal,
-		smtOn:    smtOn,
-		aluPerOp: 1 / float64(cfg.IntALUs),
-		lsPerOp:  1 / float64(cfg.LoadStorePorts),
-		mdPerOp:  1 / float64(cfg.MulDivUnits),
-		fpPerOp:  1 / float64(cfg.FPUnits),
+		cfg:    cfg,
+		id:     id,
+		mem:    mem,
+		ideal:  ideal,
+		smtOn:  smtOn,
+		slot:   1 / float64(cfg.Width),
+		robCap: robCap,
+	}
+	var perOp [numFUs]float64
+	perOp[fuALU] = 1 / float64(cfg.IntALUs)
+	perOp[fuLS] = 1 / float64(cfg.LoadStorePorts)
+	perOp[fuMD] = 1 / float64(cfg.MulDivUnits)
+	perOp[fuFP] = 1 / float64(cfg.FPUnits)
+	for cl := range c.occ {
+		c.occ[cl] = perOp[fuOf[cl]]
+		if !isa.Class(cl).Pipelined() {
+			c.occ[cl] *= latency[cl]
+		}
 	}
 	return c, nil
 }
@@ -226,21 +280,20 @@ func (c *Core) AttachThread(r trace.Reader) (int, error) {
 	if len(c.thread) >= limit {
 		return -1, fmt.Errorf("cpu: core %d has no free context (limit %d)", c.id, limit)
 	}
-	robCap := c.cfg.ROBSize
-	if robCap == 0 {
-		robCap = 2 * c.cfg.Width // in-order: small commit window
-	}
 	// A bimodal predictor reaches steady state within the simulated window;
 	// with gshare the history randomization of synthetic traces would leave
 	// the tables undertrained at SimPoint-scale run lengths.
 	t := &threadCtx{
 		reader:   r,
 		active:   true,
-		commitAt: make([]float64, robCap),
+		commitAt: make([]float64, c.robCap),
 		pred:     branch.NewBimodal(13),
 		btb:      branch.NewBTB(10),
 	}
+	t.doneAt[depWindow] = math.Inf(-1)
+	t.replay, _ = r.(*trace.Replay)
 	c.thread = append(c.thread, t)
+	c.repartition()
 	return len(c.thread) - 1, nil
 }
 
@@ -256,6 +309,14 @@ func (c *Core) activeThreads() int {
 		}
 	}
 	return n
+}
+
+// repartition recomputes part after the set of active contexts changed.
+func (c *Core) repartition() {
+	c.part = c.robCap
+	if c.cfg.OutOfOrder {
+		c.part = min(c.robPartition(), c.robCap)
+	}
 }
 
 // robPartition is the per-thread ROB share under static partitioning.
@@ -293,18 +354,16 @@ func (c *Core) ThreadTime(ti int) float64 {
 // robGate returns the commit time of the µop whose ROB slot the thread's
 // next µop needs, or 0 when the partition has room.
 func (c *Core) robGate(t *threadCtx) float64 {
-	robCap := len(t.commitAt)
-	part := robCap
-	if c.cfg.OutOfOrder {
-		part = c.robPartition()
-		if part > robCap {
-			part = robCap
-		}
-	}
-	if t.seq < uint64(part) {
+	if t.seq < uint64(c.part) {
 		return 0
 	}
-	return t.commitAt[(t.seq-uint64(part))%uint64(robCap)]
+	// The slot of µop seq-part: (seq-part) mod robCap, from head = seq mod
+	// robCap without a division.
+	i := t.head - c.part
+	if i < 0 {
+		i += c.robCap
+	}
+	return t.commitAt[i]
 }
 
 // ThreadStats returns statistics for context ti.
@@ -319,7 +378,10 @@ func (c *Core) RetiredUops(ti int) uint64 { return c.thread[ti].stats.Uops }
 func (c *Core) ThreadDone(ti int) bool { return !c.thread[ti].active }
 
 // Deactivate marks a context finished; its ROB share is redistributed.
-func (c *Core) Deactivate(ti int) { c.thread[ti].active = false }
+func (c *Core) Deactivate(ti int) {
+	c.thread[ti].active = false
+	c.repartition()
+}
 
 // bucketIssue charges one µop against a unit group's bandwidth watermark
 // and returns its issue time. The watermark never falls behind now (unused
@@ -339,33 +401,26 @@ func bucketIssue(clock *float64, now, ready, occPerOp float64) float64 {
 	return issue
 }
 
-// fuIssue dispatches the µop to its functional-unit group.
-func (c *Core) fuIssue(class isa.Class, now, ready float64) float64 {
-	switch class {
-	case isa.IntMul, isa.IntDiv:
-		occ := c.mdPerOp
-		if !class.Pipelined() {
-			occ *= float64(class.Latency())
-		}
-		return bucketIssue(&c.mdClock, now, ready, occ)
-	case isa.FpAdd, isa.FpMul, isa.FpDiv:
-		occ := c.fpPerOp
-		if !class.Pipelined() {
-			occ *= float64(class.Latency())
-		}
-		return bucketIssue(&c.fpClock, now, ready, occ)
-	case isa.Load, isa.Store:
-		return bucketIssue(&c.lsClock, now, ready, c.lsPerOp)
-	default:
-		return bucketIssue(&c.aluClock, now, ready, c.aluPerOp)
+// srcDone returns the completion time of the µop d before the next one, or
+// -Inf when there is no such µop in the dependency window.
+func (t *threadCtx) srcDone(d int32) float64 {
+	i := (t.seq - uint64(d)) % depWindow
+	if d <= 0 || uint64(d) > t.seq || d >= depWindow {
+		i = depWindow
 	}
+	return t.doneAt[i]
 }
 
 // StepThread dispatches and times one µop for context ti. It returns the
 // µop's commit time.
 func (c *Core) StepThread(ti int) float64 {
 	t := c.thread[ti]
-	u := t.reader.Next()
+	var u isa.Uop
+	if t.replay != nil {
+		t.replay.Decode(&u)
+	} else {
+		u = t.reader.Next()
+	}
 
 	if t.stats.Uops == 0 {
 		t.stats.StartTime = t.frontAvail
@@ -397,19 +452,15 @@ func (c *Core) StepThread(ti int) float64 {
 	if gate := c.robGate(t); gate > dispatch {
 		dispatch = gate
 	}
-	robCap := len(t.commitAt)
-	c.dispatchFree = dispatch + 1/float64(c.cfg.Width)
+	c.dispatchFree = dispatch + c.slot
 
 	// --- Register dependencies ---
 	ready := dispatch
-	for _, d := range u.SrcDist {
-		if d <= 0 || uint64(d) > t.seq || d >= depWindow {
-			continue
-		}
-		src := t.doneAt[(t.seq-uint64(d))%depWindow]
-		if src > ready {
-			ready = src
-		}
+	if src := t.srcDone(u.SrcDist[0]); src > ready {
+		ready = src
+	}
+	if src := t.srcDone(u.SrcDist[1]); src > ready {
+		ready = src
 	}
 
 	// --- In-order issue constraint ---
@@ -418,13 +469,18 @@ func (c *Core) StepThread(ti int) float64 {
 	}
 
 	// --- Functional unit ---
-	issue := c.fuIssue(u.Class, dispatch, ready)
+	// A class outside the vocabulary executes as IntAlu does.
+	cl := u.Class
+	if cl >= isa.NumClasses {
+		cl = isa.IntAlu
+	}
+	issue := bucketIssue(&c.fuClock[fuOf[cl]], dispatch, ready, c.occ[cl])
 	if !c.cfg.OutOfOrder {
 		t.lastIssue = issue
 	}
 
 	// --- Execution latency ---
-	lat := float64(u.Class.Latency())
+	lat := latency[cl]
 	switch u.Class {
 	case isa.Load:
 		t.stats.Loads++
@@ -477,9 +533,12 @@ func (c *Core) StepThread(ti int) float64 {
 	if t.lastCommit > commit {
 		commit = t.lastCommit
 	}
-	commit += 1 / float64(c.cfg.Width)
+	commit += c.slot
 	t.lastCommit = commit
-	t.commitAt[t.seq%uint64(robCap)] = commit
+	t.commitAt[t.head] = commit
+	if t.head++; t.head == c.robCap {
+		t.head = 0
+	}
 	t.seq++
 
 	t.stats.Uops++

@@ -29,6 +29,7 @@ const crossbarLatency = 3
 
 // coreMem is the per-core private hierarchy view; it implements
 // cpu.MemorySystem by chaining L1I/L1D/L2 into the chip's shared LLC+DRAM.
+// A cache the chip's ideal flags make unreachable is nil.
 type coreMem struct {
 	chip *Chip
 	l1i  *cache.Cache
@@ -100,9 +101,23 @@ func (c *Chip) sharedAccess(addr uint64, kind cache.AccessKind, now float64) flo
 
 // New builds a chip for the design. Ideal flags apply to every core and are
 // used by the profiler; normal simulations pass the zero value.
+//
+// The chip builds only the caches a core can reach: a core fetches through
+// L1I, L2 and the LLC unless its I-cache is ideal, and accesses data
+// through L1D, L2 and the LLC unless its D-cache is ideal. An absent cache
+// reports zero statistics. The profiler's runs that perfect both (13 of a
+// benchmark's 21) so never allocate and zero the LLC's 2 MB of lines.
 func New(d config.Design, ideal cpu.Ideal) (*Chip, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
+	}
+	fetches, accesses := !ideal.ICache, !ideal.DCache
+	// build returns a cache for cfg when used is set, and nil otherwise.
+	build := func(cfg cache.Config, used bool) (*cache.Cache, error) {
+		if !used {
+			return nil, nil
+		}
+		return cache.New(cfg)
 	}
 	llcCfg := cache.Config{
 		Name:          "LLC",
@@ -111,7 +126,7 @@ func New(d config.Design, ideal cpu.Ideal) (*Chip, error) {
 		BlockBytes:    isa.MemBlockSize,
 		LatencyCycles: d.LLC.LatencyCycles,
 	}
-	llc, err := cache.New(llcCfg)
+	llc, err := build(llcCfg, fetches || accesses)
 	if err != nil {
 		return nil, fmt.Errorf("multicore: design %s: %w", d.Name, err)
 	}
@@ -125,15 +140,15 @@ func New(d config.Design, ideal cpu.Ideal) (*Chip, error) {
 		dram:   dram,
 	}
 	for i, cc := range d.Cores {
-		l1i, err := cache.New(cc.L1I)
+		l1i, err := build(cc.L1I, fetches)
 		if err != nil {
 			return nil, fmt.Errorf("multicore: design %s core %d: %w", d.Name, i, err)
 		}
-		l1d, err := cache.New(cc.L1D)
+		l1d, err := build(cc.L1D, accesses)
 		if err != nil {
 			return nil, fmt.Errorf("multicore: design %s core %d: %w", d.Name, i, err)
 		}
-		l2, err := cache.New(cc.L2)
+		l2, err := build(cc.L2, fetches || accesses)
 		if err != nil {
 			return nil, fmt.Errorf("multicore: design %s core %d: %w", d.Name, i, err)
 		}
@@ -184,9 +199,41 @@ func (c *Chip) ThreadStats(id int) cpu.ThreadStats {
 // stream) so shared-resource pressure stays realistic, matching the paper's
 // methodology of restarting finished programs.
 func (c *Chip) Run(target uint64) []cpu.ThreadStats {
-	if len(c.threads) == 0 {
+	switch len(c.threads) {
+	case 0:
 		return nil
+	case 1:
+		c.runOne(target)
+	default:
+		c.runShared(target)
 	}
+	out := make([]cpu.ThreadStats, len(c.threads))
+	for i, loc := range c.threads {
+		out[i] = c.cores[loc.core].ThreadStats(loc.ctx)
+	}
+	return out
+}
+
+// runOne runs a one-thread chip, every profiling run: with nothing to
+// schedule, the thread steps until it has retired target µops, or once if
+// it already has, exactly as runShared would step it.
+func (c *Chip) runOne(target uint64) {
+	loc := c.threads[0]
+	core := c.cores[loc.core]
+	steps := uint64(1)
+	if done := core.RetiredUops(loc.ctx); done < target {
+		steps = target - done
+	}
+	for i := uint64(0); i < steps; i++ {
+		core.StepThread(loc.ctx)
+	}
+	c.clock += steps
+	c.served[0] = c.clock
+}
+
+// runShared co-simulates several threads, stepping the least-advanced one
+// each time, until every thread has retired at least target µops.
+func (c *Chip) runShared(target uint64) {
 	remaining := len(c.threads)
 	reached := make([]bool, len(c.threads))
 	for remaining > 0 {
@@ -201,20 +248,11 @@ func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 			remaining--
 		}
 	}
-	out := make([]cpu.ThreadStats, len(c.threads))
-	for i, loc := range c.threads {
-		out[i] = c.cores[loc.core].ThreadStats(loc.ctx)
-	}
-	return out
 }
 
 // pickNext selects the thread with the smallest front-end time, breaking
 // ties in least-recently-served order (round-robin fetch across contexts).
-// A one-thread chip (every profiling run) has nothing to choose between.
 func (c *Chip) pickNext() int {
-	if len(c.threads) == 1 {
-		return 0
-	}
 	best := -1
 	bestTime := math.Inf(1)
 	var bestServed uint64
@@ -227,8 +265,16 @@ func (c *Chip) pickNext() int {
 	return best
 }
 
+// statsOf returns a cache's statistics, zero for an absent one.
+func statsOf(c *cache.Cache) cache.Stats {
+	if c == nil {
+		return cache.Stats{}
+	}
+	return c.Stats
+}
+
 // LLCStats returns shared cache statistics.
-func (c *Chip) LLCStats() cache.Stats { return c.llc.Stats }
+func (c *Chip) LLCStats() cache.Stats { return statsOf(c.llc) }
 
 // DRAMStats returns memory statistics.
 func (c *Chip) DRAMStats() mem.Stats { return c.dram.Stats }
@@ -236,7 +282,7 @@ func (c *Chip) DRAMStats() mem.Stats { return c.dram.Stats }
 // CoreCacheStats returns (L1I, L1D, L2) statistics for core i.
 func (c *Chip) CoreCacheStats(i int) (l1i, l1d, l2 cache.Stats) {
 	m := c.mems[i]
-	return m.l1i.Stats, m.l1d.Stats, m.l2.Stats
+	return statsOf(m.l1i), statsOf(m.l1d), statsOf(m.l2)
 }
 
 // PublishMachStats publishes the chip's accumulated machine state into the
@@ -278,7 +324,7 @@ func (c *Chip) PublishMachStats(benchmarks []string) {
 		l1d.Publish("cycle.cache.l1d")
 		l2.Publish("cycle.cache.l2")
 	}
-	c.llc.Stats.Publish("cycle.cache.llc")
+	c.LLCStats().Publish("cycle.cache.llc")
 	c.dram.Stats.Publish("cycle.dram")
 	machstats.Add("cycle.chip_runs", 1)
 }

@@ -87,9 +87,10 @@ type Source struct {
 	// instrumentation for the stampede regression tests.
 	measureRuns atomic.Int64
 	curveRuns   atomic.Int64
-	// recorded, when set, sees each profile's recording — test
-	// instrumentation for the recording's lifetime.
-	recorded func(*trace.Recording)
+	// recorded, when set, sees each profile's recording and whether the
+	// curve pass made it — test instrumentation for the recording's
+	// lifetime and hand-over.
+	recorded func(rec *trace.Recording, fromCurves bool)
 }
 
 type profileKey struct {
@@ -150,22 +151,33 @@ func (s *Source) ProfileCtx(ctx context.Context, spec trace.Spec, ct config.Core
 }
 
 // curvesFor computes (or returns cached) reuse curves for the benchmark,
-// with the same duplicate suppression as Profile.
-func (s *Source) curvesFor(ctx context.Context, spec trace.Spec) (*curvePair, error) {
-	return s.curves.GetTraced(ctx, spec.Name, func(ctx context.Context) (*curvePair, error) {
+// with the same duplicate suppression as Profile. The call that runs the
+// curve pass also gets the pass's recording of the stream's first
+// Warmup+UopCount µops; every other call gets a nil recording. The
+// recording is never cached, so it lives only as long as its caller keeps
+// it.
+func (s *Source) curvesFor(ctx context.Context, spec trace.Spec) (*curvePair, *trace.Recording, error) {
+	var rec *trace.Recording
+	curves, err := s.curves.GetTraced(ctx, spec.Name, func(ctx context.Context) (*curvePair, error) {
 		_, sp := obs.StartSpan(ctx, "profiler.curves")
 		sp.SetAttr("benchmark", spec.Name)
 		defer sp.End()
-		return s.measureCurves(spec)
+		curves, r, err := s.measureCurves(spec)
+		rec = r
+		return curves, err
 	})
+	return curves, rec, err
 }
 
-// measureCurves runs the stack-distance pass behind curvesFor's cache.
-func (s *Source) measureCurves(spec trace.Spec) (*curvePair, error) {
+// measureCurves runs the stack-distance pass behind curvesFor's cache. The
+// pass reads the profileSeed stream the profiles are measured on, so it
+// records the stream's first Warmup+UopCount µops on the way and returns
+// that recording too (nil if the pass is shorter).
+func (s *Source) measureCurves(spec trace.Spec) (*curvePair, *trace.Recording, error) {
 	s.curveRuns.Add(1)
-	g, err := trace.NewGenerator(spec, profileSeed)
+	stream, err := trace.NewRecorder(spec, profileSeed, s.Warmup+s.UopCount)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dataProf := cache.NewStackProfiler(maxCurveDist)
 	codeProf := cache.NewStackProfiler(maxCurveDist)
@@ -178,7 +190,7 @@ func (s *Source) measureCurves(spec trace.Spec) (*curvePair, error) {
 			codeSnap = codeProf.Checkpoint()
 			dataAccesses, iBlocks = 0, 0
 		}
-		u := g.Next()
+		u := stream.Next()
 		if u.Class.IsMem() {
 			dataAccesses++
 			dataProf.Touch(cache.BlockAddr(u.Addr))
@@ -195,7 +207,7 @@ func (s *Source) measureCurves(spec trace.Spec) (*curvePair, error) {
 		code:       codeProf.MissRatioCurve(codeSnap, curveCapacities),
 		dataAPKU:   float64(dataAccesses) / kilo,
 		iBlockAPKU: float64(iBlocks) / kilo,
-	}, nil
+	}, stream.Recording(), nil
 }
 
 // measured holds the warm-window measurement of one run.
@@ -252,20 +264,22 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		return nil, err
 	}
 	cc := config.CoreOfType(ct)
-	curves, err := s.curvesFor(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
 	// Every run below replays the same profileSeed stream, and none reads
 	// past Warmup+UopCount µops: record it once, and let the recording go
-	// with this call. It is made after the curve pass, whose block maps are
-	// the profile's largest live data, so the two never add up.
-	rec, err := trace.Record(spec, profileSeed, s.Warmup+s.UopCount)
+	// with this call. The profile whose call ran the curve pass takes the
+	// pass's recording; the others record the prefix after the pass.
+	curves, rec, err := s.curvesFor(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	fromCurves := rec != nil
+	if !fromCurves {
+		if rec, err = trace.Record(spec, profileSeed, s.Warmup+s.UopCount); err != nil {
+			return nil, err
+		}
+	}
 	if s.recorded != nil {
-		s.recorded(rec)
+		s.recorded(rec, fromCurves)
 	}
 
 	p := &interval.Profile{

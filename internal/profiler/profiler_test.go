@@ -235,24 +235,31 @@ func TestWritebackFractionBounded(t *testing.T) {
 }
 
 // TestRecordingPerProfileIsDropped checks that a profile records its stream
-// once, Warmup+UopCount µops long, and that nothing keeps the recording
-// once the profile is done.
+// once, Warmup+UopCount µops long, that the profile whose call ran the
+// curve pass takes the pass's recording instead of making its own, and that
+// nothing keeps a recording once its profile is done.
 func TestRecordingPerProfileIsDropped(t *testing.T) {
 	s := NewSource(3_000)
-	var recorded, dropped atomic.Int32
-	s.recorded = func(r *trace.Recording) {
+	var recorded, handed, dropped atomic.Int32
+	s.recorded = func(r *trace.Recording, fromCurves bool) {
 		recorded.Add(1)
+		if fromCurves {
+			handed.Add(1)
+		}
 		if r.Len() != int(s.Warmup+s.UopCount) {
 			t.Errorf("recording holds %d µops, want %d", r.Len(), s.Warmup+s.UopCount)
 		}
 		runtime.SetFinalizer(r, func(*trace.Recording) { dropped.Add(1) })
 	}
 	sp := spec(t, "gcc")
-	mustProfile(t, s, sp, config.Big)
+	mustProfile(t, s, sp, config.Big) // runs the curve pass: takes its recording
 	mustProfile(t, s, sp, config.Small)
 	mustProfile(t, s, sp, config.Big) // cached: no new recording
 	if n := recorded.Load(); n != 2 {
 		t.Fatalf("%d recordings for two profiles, want 2", n)
+	}
+	if n := handed.Load(); n != 1 {
+		t.Fatalf("%d recordings handed over by the curve pass, want 1", n)
 	}
 	for deadline := time.Now().Add(5 * time.Second); dropped.Load() < 2; {
 		if time.Now().After(deadline) {

@@ -9,8 +9,8 @@ import (
 
 // Packed µop word layout, least significant bit first: the class, the
 // branch outcome and prediction bits, both dependency distances, and the PC
-// as an offset from the generator's code base. Non-memory µops carry no
-// address; memory µops keep theirs in a side array.
+// as an offset from the code base. Non-memory µops carry no address; memory
+// µops keep theirs in a side array.
 const (
 	classBits   = 4
 	distBits    = 10 // holds 0..maxDepDist
@@ -36,9 +36,19 @@ type Recording struct {
 	tail *Generator
 }
 
-// Record generates the first n µops of spec's stream under seed: the same
-// stream NewGenerator(spec, seed) produces.
-func Record(spec Spec, seed uint64, n uint64) (*Recording, error) {
+// Recorder generates spec's stream and records its first µops on the way,
+// so a pass that reads the stream anyway leaves the recording behind
+// instead of a second pass regenerating it.
+type Recorder struct {
+	g   *Generator
+	rec *Recording
+	// n counts the µops recorded so far.
+	n int
+}
+
+// NewRecorder returns a Recorder over NewGenerator(spec, seed)'s stream
+// that records its first n µops.
+func NewRecorder(spec Spec, seed uint64, n uint64) (*Recorder, error) {
 	g, err := NewGenerator(spec, seed)
 	if err != nil {
 		return nil, err
@@ -50,32 +60,71 @@ func Record(spec Spec, seed uint64, n uint64) (*Recording, error) {
 	// deviations, so the address array almost never grows.
 	memFrac := spec.Mix[isa.Load] + spec.Mix[isa.Store]
 	want := float64(n) * memFrac
-	r := &Recording{
+	r := &Recorder{g: g, rec: &Recording{
 		words: make([]uint64, n),
 		addrs: make([]uint64, 0, int(want+4*math.Sqrt(want))+64),
+	}}
+	if n == 0 {
+		r.finish()
 	}
-	for i := range r.words {
-		u := g.Next()
+	return r, nil
+}
+
+// Next returns the stream's next µop, recording it while the prefix is
+// short of its length.
+func (r *Recorder) Next() isa.Uop {
+	u := r.g.Next()
+	if r.n < len(r.rec.words) {
 		w := uint64(u.Class) |
 			uint64(u.SrcDist[0])<<dist0Shift |
 			uint64(u.SrcDist[1])<<dist1Shift |
-			(u.PC-g.codeBase)<<pcShift
+			(u.PC-codeBase)<<pcShift
 		if u.Taken {
 			w |= 1 << takenShift
 		}
 		if u.Mispredict {
 			w |= 1 << mispShift
 		}
-		r.words[i] = w
+		r.rec.words[r.n] = w
 		if u.Class.IsMem() {
-			r.addrs = append(r.addrs, u.Addr)
+			r.rec.addrs = append(r.rec.addrs, u.Addr)
+		}
+		if r.n++; r.n == len(r.rec.words) {
+			r.finish()
 		}
 	}
-	if cap(r.addrs) != len(r.addrs) {
-		r.addrs = append(make([]uint64, 0, len(r.addrs)), r.addrs...)
+	return u
+}
+
+// finish completes the recording: it trims the address array and gives the
+// recording its own generator, positioned just past the prefix.
+func (r *Recorder) finish() {
+	if a := r.rec.addrs; cap(a) != len(a) {
+		r.rec.addrs = append(make([]uint64, 0, len(a)), a...)
 	}
-	r.tail = g
-	return r, nil
+	r.rec.tail = r.g.clone()
+}
+
+// Recording returns the recording once the Recorder has produced its
+// length in µops, and nil before.
+func (r *Recorder) Recording() *Recording {
+	if r.rec.tail == nil {
+		return nil
+	}
+	return r.rec
+}
+
+// Record generates the first n µops of spec's stream under seed: the same
+// stream NewGenerator(spec, seed) produces.
+func Record(spec Spec, seed uint64, n uint64) (*Recording, error) {
+	r, err := NewRecorder(spec, seed, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := uint64(0); i < n; i++ {
+		r.Next()
+	}
+	return r.Recording(), nil
 }
 
 // Len returns the number of recorded µops.
@@ -84,10 +133,10 @@ func (r *Recording) Len() int { return len(r.words) }
 // Reader returns a reader over the recording. Past the recorded prefix it
 // continues with the generator, so a reader of any length sees exactly the
 // stream NewGenerator would produce, and Reset restarts it.
-func (r *Recording) Reader() Reader { return &replay{rec: r} }
+func (r *Recording) Reader() *Replay { return &Replay{rec: r} }
 
-// replay is a Reader over a Recording.
-type replay struct {
+// Replay is a Reader over a Recording.
+type Replay struct {
 	rec *Recording
 	// next and nextAddr index the next word and the next memory address.
 	next, nextAddr int
@@ -95,36 +144,52 @@ type replay struct {
 	cont *Generator
 }
 
-// Next implements Reader.
-func (p *replay) Next() isa.Uop {
+// Decode writes the next µop into u. It is Next for a caller that holds the
+// concrete type: a direct call that fills the caller's µop in place rather
+// than returning a copy through the Reader interface.
+func (p *Replay) Decode(u *isa.Uop) {
 	if p.next < len(p.rec.words) {
 		w := p.rec.words[p.next]
 		p.next++
-		u := isa.Uop{
-			Class:      isa.Class(w & classMask),
-			Taken:      w>>takenShift&1 != 0,
-			Mispredict: w>>mispShift&1 != 0,
-			PC:         p.rec.tail.codeBase + w>>pcShift,
-		}
+		// Field by field: a composite literal would be built on the stack
+		// and copied over, a second pass through the µop's 40 bytes.
+		u.Class = isa.Class(w & classMask)
 		u.SrcDist[0] = int32(w >> dist0Shift & distMask)
 		u.SrcDist[1] = int32(w >> dist1Shift & distMask)
+		u.Taken = w>>takenShift&1 != 0
+		u.Mispredict = w>>mispShift&1 != 0
+		u.PC = codeBase + w>>pcShift
+		u.Addr = 0
 		if u.Class.IsMem() {
 			u.Addr = p.rec.addrs[p.nextAddr]
 			p.nextAddr++
 		}
-		return u
+		return
 	}
+	p.continued(u)
+}
+
+// continued is Decode past the recording, kept out of Decode's body so the
+// common path stays small.
+func (p *Replay) continued(u *isa.Uop) {
 	if p.cont == nil {
 		p.cont = p.rec.tail.clone()
 	}
-	return p.cont.Next()
+	*u = p.cont.Next()
+}
+
+// Next implements Reader.
+func (p *Replay) Next() isa.Uop {
+	var u isa.Uop
+	p.Decode(&u)
+	return u
 }
 
 // Reset implements Reader.
-func (p *replay) Reset() { p.next, p.nextAddr, p.cont = 0, 0, nil }
+func (p *Replay) Reset() { p.next, p.nextAddr, p.cont = 0, 0, nil }
 
 // Count implements Reader.
-func (p *replay) Count() uint64 {
+func (p *Replay) Count() uint64 {
 	if p.cont != nil {
 		return p.cont.Count()
 	}

@@ -13,6 +13,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smtflex/internal/isa"
 )
@@ -125,8 +126,38 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform float64 in [0,1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// unitBits is the resolution of a uniform draw: draw returns an integer k
+// below 2^53 that stands for the uniform float k/2^53 in [0,1).
+const unitBits = 53
+
+// draw returns a uniform integer in [0, 2^53).
+func (r *rng) draw() uint64 { return r.next() >> (64 - unitBits) }
+
+// below returns the integer form of the test k/2^53 < c for a draw k. The
+// quotient and c·2^53 are both exact, so the test holds exactly when
+// k < ceil(c·2^53): comparing integers gives the float comparison's answer
+// bit for bit. A NaN or non-positive c is never reached; a c above one
+// always is.
+func below(c float64) uint64 {
+	x := math.Ceil(c * (1 << unitBits))
+	if !(x > 0) {
+		return 0
+	}
+	if x > 1<<unitBits {
+		return 1 << unitBits
+	}
+	return uint64(x)
+}
+
+// above returns the integer form of the test k/2^53 > p for a draw k and a
+// probability p in [0, 1]: by the same exactness, the test holds exactly
+// when k > floor(p·2^53). A NaN p is never exceeded.
+func above(p float64) uint64 {
+	if p != p {
+		return math.MaxUint64
+	}
+	return uint64(math.Floor(p * (1 << unitBits)))
+}
 
 // intn returns a uniform int in [0,n).
 func (r *rng) intn(n int) int {
@@ -142,9 +173,15 @@ type Generator struct {
 	rng  rng
 	seed uint64
 
-	// cumulative class and stream distributions for fast sampling
-	classCDF  [isa.NumClasses]float64
-	streamCDF []float64
+	// The spec's probabilities as integer thresholds on a draw (functions
+	// below and above): the cumulative class and stream distributions, the
+	// second-source and random-branch fractions, and depStop, the largest
+	// draw that ends a dependency distance.
+	classBelow  [isa.NumClasses]uint64
+	streamBelow []uint64
+	secondBelow uint64
+	randomBelow uint64
+	depStop     uint64
 
 	// per-stream cursors for sequential and pointer-chase streams
 	cursor []uint64
@@ -152,8 +189,7 @@ type Generator struct {
 	base []uint64
 
 	// code region walker
-	pc       uint64
-	codeBase uint64
+	pc uint64
 
 	// branch bias state: per static branch slot, a biased direction
 	biasDirs []bool
@@ -165,6 +201,9 @@ type Generator struct {
 // the synthetic code layout.
 const codeBlockBytes = 32
 
+// codeBase is the address of the code region's first byte.
+const codeBase = 1 << 62
+
 // NewGenerator builds a generator for spec. Invalid specs fail with an error
 // wrapping ErrBadTrace; a malformed benchmark description must fail the one
 // evaluation that references it, never the process.
@@ -172,21 +211,29 @@ func NewGenerator(spec Spec, seed uint64) (*Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{spec: spec, seed: seed ^ spec.Seed}
+	g := &Generator{
+		spec:        spec,
+		seed:        seed ^ spec.Seed,
+		secondBelow: below(spec.SecondSrcProb),
+		randomBelow: below(spec.BranchRandomFrac),
+		// A distance grows while a draw exceeds 1/MeanDepDist; Validate
+		// keeps that in [0, 1] or NaN.
+		depStop: above(1 / spec.MeanDepDist),
+	}
 	var c float64
 	for i, f := range spec.Mix {
 		c += f
-		g.classCDF[i] = c
+		g.classBelow[i] = below(c)
 	}
 	var w float64
 	for _, st := range spec.Streams {
 		w += st.Weight
 	}
-	g.streamCDF = make([]float64, len(spec.Streams))
+	g.streamBelow = make([]uint64, len(spec.Streams))
 	var acc float64
 	for i, st := range spec.Streams {
 		acc += st.Weight / w
-		g.streamCDF[i] = acc
+		g.streamBelow[i] = below(acc)
 	}
 	g.Reset()
 	return g, nil
@@ -213,8 +260,7 @@ func (g *Generator) Reset() {
 	for i := range g.base {
 		g.base[i] = (uint64(i) + 1) << 30
 	}
-	g.codeBase = 1 << 62
-	g.pc = g.codeBase
+	g.pc = codeBase
 	// Static branch bias directions, deterministic per benchmark.
 	nSlots := g.spec.CodeFootprintBytes / codeBlockBytes
 	if nSlots < 1 {
@@ -236,9 +282,9 @@ func (g *Generator) clone() *Generator {
 }
 
 func (g *Generator) sampleClass() isa.Class {
-	f := g.rng.float()
+	k := g.rng.draw()
 	for i := isa.Class(0); i < isa.NumClasses; i++ {
-		if f < g.classCDF[i] {
+		if k < g.classBelow[i] {
 			return i
 		}
 	}
@@ -246,13 +292,13 @@ func (g *Generator) sampleClass() isa.Class {
 }
 
 func (g *Generator) sampleStream() int {
-	f := g.rng.float()
-	for i, c := range g.streamCDF {
-		if f < c {
+	k := g.rng.draw()
+	for i, c := range g.streamBelow {
+		if k < c {
 			return i
 		}
 	}
-	return len(g.streamCDF) - 1
+	return len(g.streamBelow) - 1
 }
 
 // maxDepDist caps the dependency distances the generator draws.
@@ -260,11 +306,9 @@ const maxDepDist = 512
 
 // depDist draws a geometric dependency distance with the spec's mean.
 func (g *Generator) depDist() int32 {
-	mean := g.spec.MeanDepDist
 	// Geometric with success prob 1/mean, minimum 1.
-	p := 1 / mean
 	d := 1
-	for g.rng.float() > p && d < maxDepDist {
+	for g.rng.draw() > g.depStop && d < maxDepDist {
 		d++
 	}
 	return int32(d)
@@ -294,12 +338,12 @@ func (g *Generator) Next() isa.Uop {
 	// around the code footprint to exercise the I-cache.
 	g.pc += 4
 	span := uint64(g.spec.CodeFootprintBytes)
-	if g.pc >= g.codeBase+span {
-		g.pc = g.codeBase
+	if g.pc >= codeBase+span {
+		g.pc = codeBase
 	}
 
 	u.SrcDist[0] = g.depDist()
-	if g.rng.float() < g.spec.SecondSrcProb {
+	if g.rng.draw() < g.secondBelow {
 		u.SrcDist[1] = g.depDist()
 	}
 
@@ -314,7 +358,7 @@ func (g *Generator) Next() isa.Uop {
 		}
 	case class == isa.Branch:
 		slot := int((g.pc/codeBlockBytes)%uint64(len(g.biasDirs))) % len(g.biasDirs)
-		if g.rng.float() < g.spec.BranchRandomFrac {
+		if g.rng.draw() < g.randomBelow {
 			u.Taken = g.rng.next()&1 == 0
 			u.Mispredict = g.rng.next()&1 == 0
 		} else {
@@ -335,6 +379,8 @@ func (g *Generator) Next() isa.Uop {
 // nearby calls), matching the strong spatial locality of real code.
 const farJumpFrac = 0.05
 
+var farJumpBelow = below(farJumpFrac)
+
 // localJumpSpanBlocks bounds the reach of a short jump.
 const localJumpSpanBlocks = 32
 
@@ -345,8 +391,8 @@ func (g *Generator) jump() {
 		blocks = 1
 	}
 	var target int
-	cur := int((g.pc - g.codeBase) / codeBlockBytes)
-	if g.rng.float() < farJumpFrac {
+	cur := int((g.pc - codeBase) / codeBlockBytes)
+	if g.rng.draw() < farJumpBelow {
 		target = g.rng.intn(blocks)
 	} else {
 		span := localJumpSpanBlocks
@@ -359,7 +405,7 @@ func (g *Generator) jump() {
 			target += blocks
 		}
 	}
-	g.pc = g.codeBase + uint64(target%blocks)*codeBlockBytes
+	g.pc = codeBase + uint64(target%blocks)*codeBlockBytes
 }
 
 // OffsetAddresses returns a Reader that relocates all data addresses by the

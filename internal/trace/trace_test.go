@@ -308,3 +308,33 @@ func TestRecordingByteBudget(t *testing.T) {
 		t.Errorf("recording takes %d bytes, budget %d", got, budget)
 	}
 }
+
+// TestThresholdsMatchFloatCompare holds below and above to the float
+// comparisons they replace, k/2^53 < c and k/2^53 > p, for draws on both
+// sides of each threshold and for edge probabilities.
+func TestThresholdsMatchFloatCompare(t *testing.T) {
+	const one = 1 << unitBits
+	ps := []float64{0, 1, 0.5, 0.05, 1.0 / 3, 1.0 / 7, math.Nextafter(1, 0), 5e-324, 1e-300}
+	r := rng{state: 3}
+	for i := 0; i < 200; i++ {
+		ps = append(ps, float64(r.draw())/one*float64(1+r.next()%3))
+	}
+	for _, p := range append(ps, -1, 2, math.NaN(), math.Inf(1)) {
+		lo, hi := below(p), above(p)
+		for _, k := range []uint64{0, 1, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, one - 1, r.draw()} {
+			if k >= one {
+				continue
+			}
+			f := float64(k) / one
+			if got, want := k < lo, f < p; got != want {
+				t.Errorf("below(%v): draw %d: %v, float compare %v", p, k, got, want)
+			}
+			if p < 0 || p > 1 {
+				continue // outside above's domain
+			}
+			if got, want := k > hi, f > p; got != want {
+				t.Errorf("above(%v): draw %d: %v, float compare %v", p, k, got, want)
+			}
+		}
+	}
+}
