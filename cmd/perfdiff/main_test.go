@@ -135,4 +135,11 @@ func TestRunBadInputsExitOne(t *testing.T) {
 	if code := run([]string{old, good}, &out, &errb); code != 1 {
 		t.Errorf("schema mismatch exit %d, want 1", code)
 	}
+	// A histogram with one cumulative count for three bounds (this once
+	// panicked in the quantile math).
+	short := filepath.Join(dir, "short.json")
+	os.WriteFile(short, []byte(`{"schema_version":1,"histograms":[{"name":"solver_iterations","bounds":[1,2,4],"cumulative":[1],"count":3,"sum":5}]}`), 0o644)
+	if code := run([]string{short, short}, &out, &errb); code != 1 {
+		t.Errorf("malformed histogram exit %d, want 1", code)
+	}
 }

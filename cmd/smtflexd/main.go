@@ -46,23 +46,19 @@
 //	GET  /debug/traces            recent request traces (ring buffer)
 //	GET  /debug/traces/{id}       one trace; ?format=chrome for Perfetto
 //	GET  /debug/timestack         per-route wall-time breakdown; ?format=text
+//	GET  /debug/machstats         simulated-hardware counters and CPI stacks; ?format=csv
+//	GET  /debug/cluster           fabric role and dispatch counters
 //	GET  /debug/fleet             coordinator: merged worker scrape; ?format=text
 //	GET  /debug/flight            coordinator: cell lifecycles of the traced sweeps
 //	GET  /debug/flight/{sweep}    one flight record (>=8-char prefixes resolve)
 //	GET  /debug/perfsnap          versioned perf snapshot for perfdiff; ?pprof=1 attaches profiles
-//	GET  /debug/perfsnap/ring     continuous profiler's CPU-profile ring (-prof-interval)
 //
-// With -prof-interval a bounded ring of periodic CPU profiles is kept in
-// memory (off by default; the disabled path is one atomic load). With
-// -perf-baseline FILE the daemon watches its engine histograms for drift
-// against a committed snapshot: a quantile shifting past tolerance bumps
-// smtflexd_perf_drift_total and auto-captures a full perf snapshot next to
-// the journal for later `perfdiff baseline.json drift.json` attribution.
+// Two /debug/perfsnap captures diff offline with cmd/perfdiff.
 //
-// With -debug-addr, a second loopback listener additionally serves Go's
-// pprof profiles under /debug/pprof/. Every request carries an X-Request-ID
-// (client-supplied or generated) echoed in the response and attached to each
-// log line and trace.
+// With -debug-addr, a second loopback listener serves every /debug/ route
+// above plus Go's pprof profiles under /debug/pprof/. Every request carries
+// an X-Request-ID (client-supplied or generated) echoed in the response and
+// attached to each log line and trace.
 //
 // SIGINT/SIGTERM begins a graceful drain: in-flight requests finish (up to
 // -drain) while new work is refused with 503 and the X-Smtflexd-Draining
@@ -91,7 +87,6 @@ import (
 	"smtflex/internal/faults"
 	"smtflex/internal/journal"
 	"smtflex/internal/machstats"
-	"smtflex/internal/perfdiff"
 	"smtflex/internal/server"
 )
 
@@ -137,29 +132,6 @@ func clusterPeers(role, workers string) ([]string, error) {
 	return peers, nil
 }
 
-// perfFlags validates the performance-observability flags eagerly and loads
-// the drift baseline when one is armed: an unreadable or schema-mismatched
-// baseline must fail at startup, not be discovered at the first drift check.
-func perfFlags(profInterval time.Duration, profRing int, baselinePath string) (*perfdiff.Snapshot, error) {
-	if profInterval < 0 {
-		return nil, fmt.Errorf("-prof-interval %v is negative (0 disables continuous profiling)", profInterval)
-	}
-	if profInterval > 0 && profInterval < time.Second {
-		return nil, fmt.Errorf("-prof-interval %v below the 1s floor (each capture profiles for up to half the interval)", profInterval)
-	}
-	if profRing < 1 {
-		return nil, fmt.Errorf("-prof-ring %d must be at least 1", profRing)
-	}
-	if baselinePath == "" {
-		return nil, nil
-	}
-	base, err := perfdiff.ReadFile(baselinePath)
-	if err != nil {
-		return nil, fmt.Errorf("-perf-baseline: %v", err)
-	}
-	return base, nil
-}
-
 // durabilityFlags validates the coordinator durability flags eagerly, in the
 // same spirit as clusterPeers: fail fast with an actionable message instead
 // of surfacing mid-sweep.
@@ -189,7 +161,7 @@ func main() {
 	cacheCap := flag.Int("cache-cap", 512, "max cached sweeps before LRU eviction (0 = unbounded)")
 	logJSON := flag.Bool("log-json", false, "log in JSON instead of text")
 	faultSpec := flag.String("faults", "", "DEV ONLY: arm fault injection, e.g. 'solver=error,profiler=latency:50ms,handler=panic:3'")
-	debugAddr := flag.String("debug-addr", "", "serve pprof and trace debug endpoints on this extra address (e.g. 127.0.0.1:6060); keep it loopback-only")
+	debugAddr := flag.String("debug-addr", "", "serve pprof and every /debug/ route on this extra address (e.g. 127.0.0.1:6060); keep it loopback-only")
 	traceBuf := flag.Int("trace-buf", 128, "completed request traces kept for /debug/traces and /debug/flight (negative disables tracing)")
 	machStats := flag.Bool("machstats", true, "collect simulated-hardware counters and CPI stacks, served at /debug/machstats")
 	role := flag.String("role", "solo", "fabric role: solo, coordinator (shard sweeps across -workers) or worker (serve cell dispatches)")
@@ -197,9 +169,6 @@ func main() {
 	cellCap := flag.Int("cell-cache-cap", 65536, "max cached sweep cells in the fabric result store before LRU eviction (0 = unbounded)")
 	journalDir := flag.String("journal", "", "coordinator only: write-ahead journal directory for completed sweep cells; a restarted coordinator replays it and re-dispatches only the remainder")
 	auditFrac := flag.Float64("audit-frac", 0, "coordinator only: fraction of cells in [0,1] double-dispatched to independent workers and digest-compared; divergence fails the sweep")
-	profInterval := flag.Duration("prof-interval", 0, "continuous profiling: capture a CPU profile at this cadence into a bounded ring served at /debug/perfsnap/ring (0 disables; min 1s)")
-	profRing := flag.Int("prof-ring", perfdiff.DefaultProfRingCap, "continuous profiling: profiles kept in the ring")
-	perfBaseline := flag.String("perf-baseline", "", "perf snapshot file to watch for drift: engine histogram quantiles shifting past tolerance bump smtflexd_perf_drift_total and auto-capture a snapshot next to the journal")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
 
@@ -217,11 +186,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := durabilityFlags(*role, *journalDir, *auditFrac); err != nil {
-		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
-		os.Exit(2)
-	}
-	baseline, err := perfFlags(*profInterval, *profRing, *perfBaseline)
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
 		os.Exit(2)
 	}
@@ -262,14 +226,6 @@ func main() {
 		MaxTimeout:     *maxDeadline,
 		Logger:         logger,
 		TraceBuffer:    *traceBuf,
-		ProfInterval:   *profInterval,
-		ProfRingCap:    *profRing,
-		PerfBaseline:   baseline,
-	}
-	if *journalDir != "" {
-		// Drift snapshots land next to the journal: the durable directory an
-		// operator already watches for this daemon's state.
-		cfg.PerfDumpDir = *journalDir
 	}
 	switch *role {
 	case "coordinator":
@@ -314,10 +270,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// The perf loops (continuous profiling ring, drift watcher) run for the
-	// daemon's lifetime and stop with the signal context at drain time.
-	waitPerfLoops := srv.StartPerfLoops(ctx)
-
 	if *debugAddr != "" {
 		dbgSrv := &http.Server{
 			Addr:              *debugAddr,
@@ -331,7 +283,7 @@ func main() {
 				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
 			}
 		}()
-		logger.Info("debug listener (pprof, traces, timestack)", "addr", *debugAddr)
+		logger.Info("debug listener (pprof and every /debug/ route)", "addr", *debugAddr)
 	}
 
 	errCh := make(chan error, 1)
@@ -365,8 +317,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
 		os.Exit(1)
 	}
-	// A drift snapshot being written, or a profile being captured, ends
-	// before the process does.
-	waitPerfLoops()
 	logger.Info("smtflexd stopped")
 }

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"smtflex/internal/perfdiff"
 )
 
 func TestClusterPeersValidation(t *testing.T) {
@@ -54,53 +49,6 @@ func TestClusterPeersValidation(t *testing.T) {
 				if peers[i] != tc.wantPeers[i] {
 					t.Fatalf("peers = %v, want %v", peers, tc.wantPeers)
 				}
-			}
-		})
-	}
-}
-
-func TestPerfFlagsValidation(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "baseline.json")
-	if err := perfdiff.Capture(perfdiff.CaptureOpts{Role: "test"}).WriteFile(good); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name     string
-		interval time.Duration
-		ring     int
-		baseline string
-		wantBase bool
-		wantErr  string // substring; empty means success
-	}{
-		{name: "all off", ring: perfdiff.DefaultProfRingCap},
-		{name: "profiling armed", interval: 30 * time.Second, ring: 4},
-		{name: "baseline armed", ring: 8, baseline: good, wantBase: true},
-		{name: "negative interval", interval: -time.Second, ring: 8, wantErr: "negative"},
-		{name: "sub-second interval", interval: 100 * time.Millisecond, ring: 8, wantErr: "1s floor"},
-		{name: "zero ring", interval: time.Minute, ring: 0, wantErr: "-prof-ring"},
-		{name: "missing baseline", ring: 8, baseline: filepath.Join(dir, "nope.json"), wantErr: "-perf-baseline"},
-		{name: "schema mismatch baseline", ring: 8, baseline: bad, wantErr: "-perf-baseline"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base, err := perfFlags(tc.interval, tc.ring, tc.baseline)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if (base != nil) != tc.wantBase {
-				t.Fatalf("baseline = %v, want present=%v", base, tc.wantBase)
 			}
 		})
 	}

@@ -59,32 +59,55 @@ func place(t *testing.T, designName string, benches ...string) contention.Placem
 	return p
 }
 
-// solveSnapshot runs solves traced solves of pl under one root trace and
-// captures a perf snapshot from the collected state: the same pipeline a
-// live daemon's /debug/perfsnap walks, minus HTTP.
-func solveSnapshot(t *testing.T, pl contention.Placement, solves int) *perfdiff.Snapshot {
+// solveSnapshots captures sides perf snapshots of pl's solves: the same
+// pipeline a live daemon's /debug/perfsnap walks, minus HTTP. Each side
+// records rounds traces of solves solves each, and the sides take turns
+// trace by trace (A, B, A, B, ...), so that a load burst on the host lands
+// on every side alike and many traces average out the preemptions.
+func solveSnapshots(t *testing.T, pl contention.Placement, solves, rounds, sides int) []*perfdiff.Snapshot {
 	t.Helper()
-	col := obs.NewCollector(4)
-	iters := obs.NewHistogram(perfdiff.SolverIterBuckets)
-	ctx, root := obs.StartTrace(context.Background(), col, "bench.solve")
-	s := contention.NewSolver()
-	for i := 0; i < solves; i++ {
-		res, err := s.SolveModelCtx(ctx, pl, contention.Model{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters.Observe(float64(res.Diag.Iterations))
+	type side struct {
+		col    *obs.Collector
+		iters  *obs.Histogram
+		solver *contention.Solver
+		stacks []machstats.StackRecord
 	}
-	root.End()
-	mach := machstats.Default().Snapshot()
-	return perfdiff.Capture(perfdiff.CaptureOpts{
-		Role:   "test",
-		Traces: col.Snapshots(),
-		Mach:   &mach,
-		Histograms: []perfdiff.HistogramState{
-			perfdiff.HistState(perfdiff.HistSolverIterations, iters.Snapshot()),
-		},
-	})
+	ss := make([]side, sides)
+	for i := range ss {
+		ss[i] = side{
+			col:    obs.NewCollector(rounds),
+			iters:  obs.NewHistogram(perfdiff.SolverIterBuckets),
+			solver: contention.NewSolver(),
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		for i := range ss {
+			machstats.Reset()
+			ctx, root := obs.StartTrace(context.Background(), ss[i].col, "bench.solve")
+			for n := 0; n < solves; n++ {
+				res, err := ss[i].solver.SolveModelCtx(ctx, pl, contention.Model{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss[i].iters.Observe(float64(res.Diag.Iterations))
+			}
+			root.End()
+			ss[i].stacks = append(ss[i].stacks, machstats.Default().Snapshot().Stacks...)
+		}
+	}
+	machstats.Reset()
+	snaps := make([]*perfdiff.Snapshot, sides)
+	for i, sd := range ss {
+		snaps[i] = perfdiff.Capture(perfdiff.CaptureOpts{
+			Role:   "test",
+			Traces: sd.col.Snapshots(),
+			Mach:   &machstats.Snapshot{Stacks: sd.stacks},
+			Histograms: []perfdiff.HistogramState{
+				perfdiff.HistState(perfdiff.HistSolverIterations, sd.iters.Snapshot()),
+			},
+		})
+	}
+	return snaps
 }
 
 // TestDiffSelfClean is the self-cleanliness acceptance criterion: two
@@ -98,11 +121,11 @@ func TestDiffSelfClean(t *testing.T) {
 	defer machstats.Disable()
 	pl := place(t, "4B", "tonto", "gcc", "mcf", "hmmer", "soplex", "bzip2")
 
-	machstats.Reset()
-	base := solveSnapshot(t, pl, 100)
-	machstats.Reset()
-	cur := solveSnapshot(t, pl, 100)
-	machstats.Reset()
+	// 16 alternating rounds of 100 solves: each trace's solve phase stays
+	// several times the diff's 1 ms floor, and each side holds enough solve
+	// time for a host's preemptions to average out.
+	snaps := solveSnapshots(t, pl, 100, 16, 2)
+	base, cur := snaps[0], snaps[1]
 
 	rep, err := perfdiff.Diff(base, cur, perfdiff.DefaultThresholds())
 	if err != nil {
@@ -130,11 +153,11 @@ func TestDiffRanksInjectedSolveRegression(t *testing.T) {
 	defer obs.Disable()
 	pl := place(t, "4B", "tonto", "gcc", "mcf", "hmmer")
 
-	base := solveSnapshot(t, pl, 10)
+	base := solveSnapshots(t, pl, 10, 1, 1)[0]
 
 	faults.Enable(faults.SiteSolver, faults.Injection{Mode: faults.ModeLatency, Latency: 50 * time.Microsecond})
 	defer faults.Reset()
-	cur := solveSnapshot(t, pl, 10)
+	cur := solveSnapshots(t, pl, 10, 1, 1)[0]
 	faults.Reset()
 
 	rep, err := perfdiff.Diff(base, cur, perfdiff.DefaultThresholds())
@@ -159,11 +182,28 @@ func TestDiffRanksInjectedSolveRegression(t *testing.T) {
 	}
 }
 
-// TestSnapshotSchemaLocked locks the JSON field names of every snapshot
-// section: renaming a field breaks every archived baseline, so it must break
-// this test first.
-func TestSnapshotSchemaLocked(t *testing.T) {
-	snap := &perfdiff.Snapshot{
+// The package's test documents, shared with FuzzReadAuto's seed corpus.
+const (
+	benchDoc       = `{"results":[{"name":"BenchmarkX","procs":1,"iterations":10,"ns_per_op":100,"metrics":{"allocs/op":5}}]}`
+	wrongSchemaDoc = `{"schema_version": 99}`
+	garbageDoc     = `{"hello": 1}`
+	// shortCumulativeDoc has one cumulative count for three bounds.
+	shortCumulativeDoc = `{"schema_version":1,"histograms":[{"name":"solver_iterations","bounds":[1,2,4],"cumulative":[1],"count":3,"sum":5}]}`
+)
+
+// writeDoc writes data to a fresh file and returns its path.
+func writeDoc(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "doc.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// lockedSnapshot fills every section of the snapshot schema.
+func lockedSnapshot() *perfdiff.Snapshot {
+	return &perfdiff.Snapshot{
 		SchemaVersion: perfdiff.SchemaVersion,
 		CapturedAt:    time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
 		Build:         perfdiff.Build{GoVersion: "go", Revision: "r", Module: "m", Version: "v"},
@@ -185,6 +225,13 @@ func TestSnapshotSchemaLocked(t *testing.T) {
 		Bench:      &benchjson.Report{Results: []benchjson.Result{{Name: "B", Procs: 1, Iterations: 1, NsPerOp: 2}}},
 		Profiles:   []perfdiff.Profile{{Kind: "cpu", CapturedAt: time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC), DurMs: 100, Data: []byte{1}}},
 	}
+}
+
+// TestSnapshotSchemaLocked locks the JSON field names of every snapshot
+// section: renaming a field breaks every archived baseline, so it must break
+// this test first.
+func TestSnapshotSchemaLocked(t *testing.T) {
+	snap := lockedSnapshot()
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +293,7 @@ func TestSnapshotWriteReadAtomic(t *testing.T) {
 	if err := snap.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := perfdiff.ReadFile(path)
+	back, err := perfdiff.ReadAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +321,7 @@ func TestSnapshotWriteReadAtomic(t *testing.T) {
 }
 
 func TestValidateRejectsWrongSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(path, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := perfdiff.ReadFile(path); err == nil {
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(wrongSchemaDoc))); err == nil {
 		t.Fatal("schema version 99 accepted")
 	}
 	wrong := &perfdiff.Snapshot{SchemaVersion: 2}
@@ -288,14 +330,34 @@ func TestValidateRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMalformedHistogram: a histogram whose cumulative counts
+// do not match its bounds one for one passed Validate and then panicked in
+// the quantile math of Diff.
+func TestValidateRejectsMalformedHistogram(t *testing.T) {
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(shortCumulativeDoc))); err == nil {
+		t.Fatal("histogram with 1 cumulative count for 3 bounds accepted")
+	}
+	for _, cum := range [][]int64{{1}, {1, 2, 3, 3}} {
+		s := &perfdiff.Snapshot{SchemaVersion: perfdiff.SchemaVersion, Histograms: []perfdiff.HistogramState{
+			{Name: perfdiff.HistSolverIterations, Bounds: []float64{1, 2, 4}, Cumulative: cum, Count: 3, Sum: 5},
+		}}
+		if _, err := perfdiff.Diff(s, s, perfdiff.DefaultThresholds()); err == nil {
+			t.Errorf("Diff accepted %d cumulative counts for 3 bounds", len(cum))
+		}
+	}
+}
+
+// TestValidateRejectsEmptyBench: a snapshot embedding a bench report with no
+// results read fine and then failed every Diff, itself included.
+func TestValidateRejectsEmptyBench(t *testing.T) {
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(`{"schema_version":1,"bench":{}}`))); err == nil {
+		t.Fatal("bench report with no results accepted")
+	}
+}
+
 func TestReadAutoWrapsBenchReport(t *testing.T) {
 	dir := t.TempDir()
-	bench := filepath.Join(dir, "bench.json")
-	raw := `{"results":[{"name":"BenchmarkX","procs":1,"iterations":10,"ns_per_op":100,"metrics":{"allocs/op":5}}]}`
-	if err := os.WriteFile(bench, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := perfdiff.ReadAuto(bench)
+	s, err := perfdiff.ReadAuto(writeDoc(t, []byte(benchDoc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +373,7 @@ func TestReadAutoWrapsBenchReport(t *testing.T) {
 		t.Fatalf("snapshot through ReadAuto: %v %+v", err, s)
 	}
 	// Garbage is neither.
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"hello": 1}`), 0o644)
-	if _, err := perfdiff.ReadAuto(bad); err == nil {
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(garbageDoc))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -404,110 +464,6 @@ func TestDiffCPIShift(t *testing.T) {
 		if d.Metric == "base" && d.Exceeds {
 			t.Errorf("unchanged base component flagged: %+v", d)
 		}
-	}
-}
-
-func TestDriftWatcher(t *testing.T) {
-	mk := func(vals ...float64) []perfdiff.HistogramState {
-		h := obs.NewHistogram(perfdiff.SolverIterBuckets)
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return []perfdiff.HistogramState{perfdiff.HistState(perfdiff.HistSolverIterations, h.Snapshot())}
-	}
-	base := perfdiff.Capture(perfdiff.CaptureOpts{Histograms: mk(3, 3, 3, 3)})
-	w := perfdiff.NewDriftWatcher(base, perfdiff.DefaultDriftTolerance())
-	if ds := w.Check(mk(3, 3, 3, 3)); len(ds) != 0 {
-		t.Errorf("identical state drifted: %v", ds)
-	}
-	ds := w.Check(mk(120, 120, 120, 120))
-	if len(ds) == 0 {
-		t.Fatal("40x shift not detected")
-	}
-	if ds[0].Histogram != perfdiff.HistSolverIterations {
-		t.Errorf("drift %+v", ds[0])
-	}
-	// Histograms absent from the baseline never fire.
-	w2 := perfdiff.NewDriftWatcher(perfdiff.Capture(perfdiff.CaptureOpts{}), perfdiff.DefaultDriftTolerance())
-	if ds := w2.Check(mk(120)); len(ds) != 0 {
-		t.Errorf("baseline-free watcher fired: %v", ds)
-	}
-}
-
-func TestProfRing(t *testing.T) {
-	r := perfdiff.NewProfRing(2)
-	if r.Armed() {
-		t.Fatal("fresh ring armed")
-	}
-	for i := 0; i < 3; i++ {
-		if err := r.CaptureOnce(5 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := r.Snapshot()
-	if len(ps) != 2 {
-		t.Fatalf("ring holds %d profiles, want 2 (cap)", len(ps))
-	}
-	for _, p := range ps {
-		if p.Kind != "cpu" || len(p.Data) == 0 {
-			t.Errorf("bad profile %q with %d bytes", p.Kind, len(p.Data))
-		}
-	}
-	if !ps[0].CapturedAt.Before(ps[1].CapturedAt) && !ps[0].CapturedAt.Equal(ps[1].CapturedAt) {
-		t.Errorf("ring not oldest-first: %v then %v", ps[0].CapturedAt, ps[1].CapturedAt)
-	}
-	caps, skipped := r.Counts()
-	if caps != 3 || skipped != 0 {
-		t.Errorf("counts %d/%d, want 3/0", caps, skipped)
-	}
-
-	// Run arms the ring for its lifetime and stops cleanly on cancel.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); r.Run(ctx, 5*time.Millisecond, 2*time.Millisecond) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for !r.Armed() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !r.Armed() {
-		t.Fatal("Run never armed the ring")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop on cancel")
-	}
-	if r.Armed() {
-		t.Fatal("ring still armed after Run returned")
-	}
-}
-
-// TestProfRingDisarmedZeroAllocsOnSolverHotPath is the overhead acceptance
-// criterion: with the profiling ring constructed but disarmed (the
-// -prof-interval=0 default), the sweep hot path — a reused contention solver
-// at steady state — must allocate nothing. The ring is fully decoupled from
-// the engine; this guard keeps it that way.
-func TestProfRingDisarmedZeroAllocsOnSolverHotPath(t *testing.T) {
-	machstats.Disable()
-	obs.Disable()
-	ring := perfdiff.NewProfRing(0)
-	pl := place(t, "4B", "tonto", "gcc", "mcf", "hmmer", "soplex", "bzip2")
-	s := contention.NewSolver()
-	m := contention.DefaultModel()
-	if _, err := s.SolveModel(pl, m); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if ring.Armed() { // the daemon's one-atomic-load disabled check
-			t.Fatal("ring unexpectedly armed")
-		}
-		if _, err := s.SolveModel(pl, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("solver hot path with disarmed ring allocates %.1f/run, want 0", allocs)
 	}
 }
 

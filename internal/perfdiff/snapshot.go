@@ -134,8 +134,8 @@ type Snapshot struct {
 	Role string `json:"role,omitempty"`
 	// TimeStacks is the engine-phase self-time decomposition per trace group.
 	TimeStacks []obs.TimeStack `json:"time_stacks,omitempty"`
-	// FleetStacks is the fabric-phase decomposition from a coordinator's
-	// stitched sweep traces (empty for single-process captures).
+	// FleetStacks is a coordinator's scrape of its workers' time stacks,
+	// merged per route (empty for single-process captures).
 	FleetStacks []obs.TimeStack `json:"fleet_stacks,omitempty"`
 	// MachStats carries the simulated-hardware counters and CPI stacks.
 	MachStats *machstats.Snapshot `json:"machstats,omitempty"`
@@ -146,7 +146,7 @@ type Snapshot struct {
 	// Bench embeds a benchjson report when the capture had one (CI attaches
 	// the current run so perfdiff can attribute a bench regression).
 	Bench *benchjson.Report `json:"bench,omitempty"`
-	// Profiles carries optional pprof captures (?pprof=1, or the prof ring).
+	// Profiles carries optional pprof captures (?pprof=1).
 	Profiles []Profile `json:"profiles,omitempty"`
 }
 
@@ -184,8 +184,10 @@ func Capture(o CaptureOpts) *Snapshot {
 	return s
 }
 
-// Validate checks the schema stamp. Diff and every reader call it so a
-// hand-edited or cross-generation document fails loudly.
+// Validate checks the schema stamp, the histograms' shape and that an
+// embedded bench report has results (as benchjson's own reader demands).
+// Diff and ReadAuto call it so a hand-edited or cross-generation document
+// fails loudly instead of crashing the quantile math.
 func (s *Snapshot) Validate() error {
 	if s == nil {
 		return errors.New("perfdiff: nil snapshot")
@@ -193,6 +195,15 @@ func (s *Snapshot) Validate() error {
 	if s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("perfdiff: snapshot schema version %d, this build reads %d",
 			s.SchemaVersion, SchemaVersion)
+	}
+	for _, h := range s.Histograms {
+		if len(h.Cumulative) != len(h.Bounds) {
+			return fmt.Errorf("perfdiff: histogram %q has %d cumulative counts for %d bounds",
+				h.Name, len(h.Cumulative), len(h.Bounds))
+		}
+	}
+	if s.Bench != nil && len(s.Bench.Results) == 0 {
+		return fmt.Errorf("perfdiff: embedded bench report: %w", benchjson.ErrNoResults)
 	}
 	return nil
 }
@@ -247,22 +258,6 @@ func (s *Snapshot) WriteDir(dir, prefix string) (string, error) {
 	return path, nil
 }
 
-// ReadFile reads and validates a snapshot document.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("perfdiff: read snapshot: %w", err)
-	}
-	s := &Snapshot{}
-	if err := json.Unmarshal(data, s); err != nil {
-		return nil, fmt.Errorf("perfdiff: parse snapshot %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
 // ReadAuto reads a perf snapshot, falling back to a raw benchjson report
 // wrapped as a bench-only snapshot — so CI can hand perfdiff the same
 // documents the bench job already produces without a conversion step.
@@ -271,6 +266,11 @@ func ReadAuto(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perfdiff: read snapshot: %w", err)
 	}
+	return decodeAuto(data, path)
+}
+
+// decodeAuto is ReadAuto after the read; path only labels errors.
+func decodeAuto(data []byte, path string) (*Snapshot, error) {
 	probe := struct {
 		SchemaVersion *int `json:"schema_version"`
 	}{}

@@ -10,9 +10,9 @@ import (
 
 // The debug surfaces: the request-trace ring buffer as JSON or Chrome
 // trace-event files, the aggregated time-stack report, and Go's pprof
-// profiles. /debug/traces and /debug/timestack are served on the main
-// listener (they are cheap and read-only); DebugHandler additionally mounts
-// pprof for the opt-in -debug-addr listener, which should never be public.
+// profiles. The main listener serves every /debug/ route but pprof (they are
+// cheap and read-only); DebugHandler serves the same routes plus pprof for
+// the opt-in -debug-addr listener, which should never be public.
 
 // TracesResponse lists the buffered traces, newest first.
 type TracesResponse struct {
@@ -84,10 +84,11 @@ func (s *Server) handleTimestack(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// DebugHandler serves the full debug surface: net/http/pprof under
-// /debug/pprof/ plus the trace and time-stack endpoints. It is meant for a
-// separate loopback listener (smtflexd -debug-addr), never the public one —
-// pprof's CPU profile endpoint can hold a goroutine for tens of seconds.
+// DebugHandler serves net/http/pprof under /debug/pprof/ and hands every
+// other /debug/ path to the main route table, so the two listeners serve
+// the same debug routes. It is meant for a separate loopback listener
+// (smtflexd -debug-addr), never the public one — pprof's CPU profile
+// endpoint can hold a goroutine for tens of seconds.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -95,14 +96,7 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	mux.HandleFunc("GET /debug/timestack", s.handleTimestack)
-	mux.HandleFunc("GET /debug/machstats", s.handleMachStats)
-	mux.HandleFunc("GET /debug/fleet", s.handleFleet)
-	mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	mux.HandleFunc("GET /debug/flight/{sweep}", s.handleFlight)
-	mux.HandleFunc("GET /debug/perfsnap", s.handlePerfsnap)
-	mux.HandleFunc("GET /debug/perfsnap/ring", s.handlePerfRing)
+	// The more specific /debug/pprof/ patterns win over /debug/.
+	mux.Handle("/debug/", s.mux)
 	return mux
 }

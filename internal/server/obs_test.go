@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -297,6 +301,62 @@ func TestTracingDisabledDebugEndpoints(t *testing.T) {
 			t.Fatalf("GET %s with tracing disabled: code=%d, want 404", path, code)
 		}
 	}
+}
+
+// TestDebugHandlerServesMainDebugRoutes: the -debug-addr listener answers
+// every GET /debug/ route of the main listener with the same status, and
+// adds pprof, which the main listener does not serve.
+func TestDebugHandlerServesMainDebugRoutes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	dbg := httptest.NewServer(s.DebugHandler())
+	t.Cleanup(dbg.Close)
+	paths := debugRoutePaths(t)
+	if len(paths) == 0 {
+		t.Fatal("found no GET /debug/ route in the package source")
+	}
+	for _, path := range paths {
+		main, _ := getJSON(t, ts.URL+path)
+		debug, _ := getJSON(t, dbg.URL+path)
+		if main != debug {
+			t.Errorf("GET %s: main listener %d, debug listener %d", path, main, debug)
+		}
+	}
+	if code, _ := getJSON(t, dbg.URL+"/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("GET /debug/pprof/ on the debug listener: %d, want 200", code)
+	}
+	if code, _ := getJSON(t, ts.URL+"/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/ on the main listener: %d, want 404", code)
+	}
+}
+
+// debugRoutePaths lists the GET /debug/ route patterns in the package's
+// non-test source as request paths, each wildcard filled with "none".
+func debugRoutePaths(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := regexp.MustCompile(`"GET (/debug/[^"]*)"`)
+	wildcard := regexp.MustCompile(`\{[^}]*\}`)
+	seen := make(map[string]bool)
+	var paths []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range route.FindAllSubmatch(src, -1) {
+			if p := wildcard.ReplaceAllString(string(m[1]), "none"); !seen[p] {
+				seen[p] = true
+				paths = append(paths, p)
+			}
+		}
+	}
+	return paths
 }
 
 // TestSweepTraceDecomposition is the acceptance bar for span coverage: on a

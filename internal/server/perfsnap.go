@@ -4,54 +4,16 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"smtflex/internal/machstats"
+	"smtflex/internal/memo"
 	"smtflex/internal/perfdiff"
 )
 
-// The perf-snapshot surfaces: GET /debug/perfsnap captures the daemon's
-// current performance state as a versioned perfdiff bundle (?pprof=1 attaches
-// heap + CPU profiles); GET /debug/perfsnap/ring serves the continuous
-// profiler's bounded ring; and StartPerfLoops runs the optional background
-// loops — periodic profile capture and the snap-on-drift watcher that
-// auto-dumps a snapshot beside the journal when engine histograms shift past
-// tolerance versus a committed baseline.
-
-// perf bundles the Server's performance-observability state.
-type perf struct {
-	ring     *perfdiff.ProfRing
-	interval time.Duration // 0 = continuous profiling off
-
-	drift         *perfdiff.DriftWatcher
-	driftInterval time.Duration
-	dumpDir       string
-	drifts        atomic.Int64 // smtflexd_perf_drift_total
-	dumps         atomic.Int64 // drift snapshots written
-	dumpErrs      atomic.Int64
-}
-
-// maxDriftDumps bounds how many drift snapshots one daemon writes: drift that
-// persists re-fires every check, and the disk should hold the first captures
-// (closest to the transition), not an unbounded stream of identical ones.
-const maxDriftDumps = 16
-
-// defaultDriftInterval is how often the drift watcher compares live
-// histograms against the baseline.
-const defaultDriftInterval = 15 * time.Second
-
-// profileWindow picks the CPU capture length for a continuous-profiling
-// interval: half the interval, capped at one second — long enough to catch
-// the hot path, short enough that profiling overhead stays marginal.
-func profileWindow(interval time.Duration) time.Duration {
-	w := interval / 2
-	if w > time.Second {
-		w = time.Second
-	}
-	return w
-}
+// The perf-snapshot surface: GET /debug/perfsnap captures the daemon's
+// current performance state as a versioned perfdiff bundle (?pprof=1
+// attaches heap + CPU profiles).
 
 // perfHistograms snapshots the engine histograms in canonical order.
 func (s *Server) perfHistograms() []perfdiff.HistogramState {
@@ -61,10 +23,25 @@ func (s *Server) perfHistograms() []perfdiff.HistogramState {
 	}
 }
 
+// cacheCounters lists every memo cache the daemon reaches: the engine's
+// (solo-rate, sweeps, profiles, curves), then the coordinator's fleet store
+// and sweep cache, or the worker's cell content store. /metrics and
+// /debug/perfsnap both read it.
+func (s *Server) cacheCounters() []memo.Counters {
+	counters := s.study().CacheCounters()
+	if s.coord != nil {
+		counters = append(counters, s.coord.CacheCounters()...)
+	}
+	if s.worker != nil {
+		counters = append(counters, s.worker.CacheCounters()...)
+	}
+	return counters
+}
+
 // PerfSnapshot captures the daemon's performance state. On a coordinator the
-// snapshot is fleet-wide: the merged worker scrape (the same path as
-// /debug/fleet) contributes the fleet's per-route time stacks. Capture only
-// reads already-collected state — it never perturbs the engine.
+// snapshot is fleet-wide: it scrapes every worker (the same path as
+// /debug/fleet) for the fleet's merged time stacks. It never perturbs the
+// engine.
 func (s *Server) PerfSnapshot(ctx context.Context) *perfdiff.Snapshot {
 	opts := perfdiff.CaptureOpts{Role: s.role()}
 	if s.col != nil {
@@ -75,14 +52,7 @@ func (s *Server) PerfSnapshot(ctx context.Context) *perfdiff.Snapshot {
 		opts.Mach = &mach
 	}
 	opts.Histograms = s.perfHistograms()
-	counters := s.study().CacheCounters()
-	if s.coord != nil {
-		counters = append(counters, s.coord.CacheCounters()...)
-	}
-	if s.worker != nil {
-		counters = append(counters, s.worker.CacheCounters()...)
-	}
-	opts.Caches = counters
+	opts.Caches = s.cacheCounters()
 	if s.coord != nil {
 		fleet := s.coord.FleetSnapshot(ctx)
 		opts.FleetStacks = fleet.TimeStacks
@@ -123,94 +93,8 @@ func (s *Server) handlePerfsnap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// PerfRingResponse is the /debug/perfsnap/ring body.
-type PerfRingResponse struct {
-	// Interval is the configured capture cadence in seconds.
-	IntervalSeconds float64 `json:"interval_seconds"`
-	// Captures and Skipped count capture attempts since start.
-	Captures int64 `json:"captures"`
-	Skipped  int64 `json:"skipped"`
-	// Profiles is the ring's contents, oldest first.
-	Profiles []perfdiff.Profile `json:"profiles"`
-}
-
-func (s *Server) handlePerfRing(w http.ResponseWriter, _ *http.Request) {
-	if s.perf.interval <= 0 {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "continuous profiling disabled (start with -prof-interval)"})
-		return
-	}
-	caps, skipped := s.perf.ring.Counts()
-	writeJSON(w, http.StatusOK, PerfRingResponse{
-		IntervalSeconds: s.perf.interval.Seconds(),
-		Captures:        caps,
-		Skipped:         skipped,
-		Profiles:        s.perf.ring.Snapshot(),
-	})
-}
-
-// StartPerfLoops launches the configured background loops: the continuous
-// profiling ring (ProfInterval > 0) and the drift watcher (PerfBaseline
-// set). Both stop when ctx is cancelled; wait blocks until they have
-// returned, so no capture or snapshot write outlives the caller. Safe to
-// call once at startup; a daemon with neither configured starts nothing.
-func (s *Server) StartPerfLoops(ctx context.Context) (wait func()) {
-	var wg sync.WaitGroup
-	if s.perf.interval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.perf.ring.Run(ctx, s.perf.interval, profileWindow(s.perf.interval))
-		}()
-		s.log.Info("continuous profiling armed", "interval", s.perf.interval, "ring", perfdiff.DefaultProfRingCap)
-	}
-	if s.perf.drift != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.driftLoop(ctx)
-		}()
-		s.log.Info("perf drift watcher armed", "interval", s.perf.driftInterval, "dump_dir", s.perf.dumpDir)
-	}
-	return wg.Wait
-}
-
-// driftLoop periodically compares live engine histograms against the armed
-// baseline. Every drifted quantile bumps smtflexd_perf_drift_total; the first
-// maxDriftDumps drift events also capture a full snapshot next to the journal
-// (crash-safe, like the journal's records and flight dumps) so the postmortem
-// has the state from the moment of the shift, not from whenever someone noticed.
-func (s *Server) driftLoop(ctx context.Context) {
-	t := time.NewTicker(s.perf.driftInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			drifts := s.perf.drift.Check(s.perfHistograms())
-			if len(drifts) == 0 {
-				continue
-			}
-			s.perf.drifts.Add(int64(len(drifts)))
-			s.log.Warn("perf drift vs baseline", "drifts", perfdiff.FormatDrifts(drifts))
-			if s.perf.dumps.Load() >= maxDriftDumps {
-				continue
-			}
-			snap := s.PerfSnapshot(ctx)
-			path, err := snap.WriteDir(s.perf.dumpDir, "perfdrift")
-			if err != nil {
-				s.perf.dumpErrs.Add(1)
-				s.log.Error("perf drift snapshot failed", "err", err)
-				continue
-			}
-			s.perf.dumps.Add(1)
-			s.log.Warn("perf drift snapshot written", "path", path)
-		}
-	}
-}
-
-// timestackQuantiles summarizes the engine histograms for /debug/timestack:
-// the quantile view of the same state the snapshot carries in full.
+// HistQuantiles summarizes one engine histogram for /debug/timestack: the
+// quantile view of the same state the snapshot carries in full.
 type HistQuantiles struct {
 	Name  string  `json:"name"`
 	Count int64   `json:"count"`

@@ -1,18 +1,13 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"smtflex/internal/core"
-	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
 )
 
@@ -91,29 +86,6 @@ func TestPerfsnapPprofProfiles(t *testing.T) {
 	}
 }
 
-func TestPerfRingEndpoint(t *testing.T) {
-	// Disabled by default: the route 404s with a pointer at the flag.
-	_, ts := newTestServer(t, Config{})
-	code, body := getJSON(t, ts.URL+"/debug/perfsnap/ring")
-	if code != http.StatusNotFound || !strings.Contains(string(body), "-prof-interval") {
-		t.Fatalf("disabled ring: code=%d body=%s", code, body)
-	}
-
-	// Enabled: the route serves counts even before the first tick.
-	_, ts2 := newTestServer(t, Config{ProfInterval: time.Hour})
-	code, body = getJSON(t, ts2.URL+"/debug/perfsnap/ring")
-	if code != http.StatusOK {
-		t.Fatalf("armed ring: code=%d body=%s", code, body)
-	}
-	var ring PerfRingResponse
-	if err := json.Unmarshal(body, &ring); err != nil {
-		t.Fatal(err)
-	}
-	if ring.IntervalSeconds != 3600 {
-		t.Errorf("interval %v, want 3600", ring.IntervalSeconds)
-	}
-}
-
 func TestTimestackIncludesHistogramQuantiles(t *testing.T) {
 	_, ts := newTestServer(t, Config{Sim: perfSharedSim()})
 	// A heterogeneous sweep (48 cells at the test engine's two mixes) feeds
@@ -146,117 +118,5 @@ func TestTimestackIncludesHistogramQuantiles(t *testing.T) {
 	code, body = getJSON(t, ts.URL+"/debug/timestack?format=text")
 	if code != http.StatusOK || !strings.Contains(string(body), perfdiff.HistSolverIterations) {
 		t.Errorf("text timestack missing histogram summary: code=%d body=%s", code, body)
-	}
-}
-
-func TestDriftLoopCapturesSnapshot(t *testing.T) {
-	// Baseline: solver converges in 1 iteration.
-	base := obs.NewHistogram(perfdiff.SolverIterBuckets)
-	base.Observe(1)
-	baseline := perfdiff.Capture(perfdiff.CaptureOpts{
-		Role: "test",
-		Histograms: []perfdiff.HistogramState{
-			perfdiff.HistState(perfdiff.HistSolverIterations, base.Snapshot()),
-		},
-	})
-
-	dir := t.TempDir()
-	s, _ := newTestServer(t, Config{
-		PerfBaseline:  baseline,
-		PerfDumpDir:   dir,
-		DriftInterval: 5 * time.Millisecond,
-	})
-	// Live state drifts: iterations land two decades above the baseline.
-	for i := 0; i < 32; i++ {
-		s.solverIters.Observe(200)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	wait := s.StartPerfLoops(ctx)
-	// Stop the loop and wait for it before the temp dir is removed: it may
-	// be writing another snapshot there.
-	defer func() { cancel(); wait() }()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.perf.dumps.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drift watcher never captured a snapshot; drifts=%d", s.perf.drifts.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s.perf.drifts.Load() == 0 {
-		t.Error("drift counter not bumped")
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapPath string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "perfdrift-") && strings.HasSuffix(e.Name(), ".json") {
-			snapPath = filepath.Join(dir, e.Name())
-		}
-	}
-	if snapPath == "" {
-		t.Fatalf("no perfdrift-*.json in %s: %v", dir, entries)
-	}
-	snap, err := perfdiff.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, ok := snap.Histogram(perfdiff.HistSolverIterations); !ok || h.Count == 0 {
-		t.Errorf("drift snapshot missing the drifted histogram")
-	}
-}
-
-func TestDriftLoopQuietWhenWithinTolerance(t *testing.T) {
-	base := obs.NewHistogram(perfdiff.SolverIterBuckets)
-	base.Observe(200)
-	baseline := perfdiff.Capture(perfdiff.CaptureOpts{
-		Role: "test",
-		Histograms: []perfdiff.HistogramState{
-			perfdiff.HistState(perfdiff.HistSolverIterations, base.Snapshot()),
-		},
-	})
-	dir := t.TempDir()
-	s, _ := newTestServer(t, Config{
-		PerfBaseline:  baseline,
-		PerfDumpDir:   dir,
-		DriftInterval: time.Millisecond,
-	})
-	// Live state matches the baseline: no drift, no dumps.
-	s.solverIters.Observe(200)
-	ctx, cancel := context.WithCancel(context.Background())
-	wait := s.StartPerfLoops(ctx)
-	defer func() { cancel(); wait() }()
-	time.Sleep(50 * time.Millisecond)
-	if n := s.perf.drifts.Load(); n != 0 {
-		t.Errorf("drifts %d on matching state", n)
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("unexpected dumps: %v", entries)
-	}
-}
-
-func TestMetricsIncludePerfSeries(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	code, body := getJSON(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics: code=%d", code)
-	}
-	typed, values := lintPromText(t, body)
-	for _, want := range []string{
-		"smtflexd_perf_drift_total",
-		"smtflexd_perf_drift_snapshots_total",
-		"smtflexd_perf_drift_snapshot_errors_total",
-		"smtflexd_prof_captures_total",
-		"smtflexd_prof_skipped_total",
-	} {
-		if typed[want] != "counter" {
-			t.Errorf("metric %s typed %q, want counter", want, typed[want])
-		}
-		if v, ok := values[want]; !ok || v != 0 {
-			t.Errorf("metric %s = %v (present=%v), want 0", want, v, ok)
-		}
 	}
 }

@@ -84,23 +84,6 @@ type Config struct {
 	// (POST /cluster/v1/cell) so this daemon serves a coordinator's
 	// dispatches. Mutually exclusive with Coordinator.
 	ClusterWorker *cluster.Worker
-	// ProfInterval, when positive, arms the continuous profiler: a CPU
-	// profile is captured at this cadence into a bounded ring served at
-	// /debug/perfsnap/ring. Zero (the default) disables profiling entirely.
-	ProfInterval time.Duration
-	// ProfRingCap bounds the continuous profiler's ring
-	// (default perfdiff.DefaultProfRingCap).
-	ProfRingCap int
-	// PerfBaseline, when set, arms the snap-on-drift watcher: engine
-	// histograms are compared against this baseline snapshot at
-	// DriftInterval, and a drift past tolerance auto-captures a perf
-	// snapshot into PerfDumpDir.
-	PerfBaseline *perfdiff.Snapshot
-	// PerfDumpDir is where drift-triggered snapshots land (default ".";
-	// smtflexd points it at the journal directory when one is configured).
-	PerfDumpDir string
-	// DriftInterval is the drift watcher's check cadence (default 15s).
-	DriftInterval time.Duration
 }
 
 // Server handles the smtflexd API. Create with New; serve via Handler.
@@ -130,10 +113,6 @@ type Server struct {
 	// iteration counts, pool queue waits) behind the /metrics histograms.
 	solverIters *obs.Histogram
 	poolQueue   *obs.Histogram
-
-	// perf holds the performance-observability state: the continuous
-	// profiling ring and the snap-on-drift watcher (see perfsnap.go).
-	perf perf
 }
 
 // New builds a Server around the given engine.
@@ -188,22 +167,6 @@ func New(cfg Config) (*Server, error) {
 	s.solverIters = obs.NewHistogram(perfdiff.SolverIterBuckets)
 	s.poolQueue = obs.NewHistogram(perfdiff.QueueSecondsBuckets)
 	s.study().SetEngineHistograms(s.solverIters, s.poolQueue)
-	if cfg.ProfRingCap <= 0 {
-		cfg.ProfRingCap = perfdiff.DefaultProfRingCap
-	}
-	if cfg.DriftInterval <= 0 {
-		cfg.DriftInterval = defaultDriftInterval
-	}
-	if cfg.PerfDumpDir == "" {
-		cfg.PerfDumpDir = "."
-	}
-	s.perf.ring = perfdiff.NewProfRing(cfg.ProfRingCap)
-	s.perf.interval = cfg.ProfInterval
-	s.perf.driftInterval = cfg.DriftInterval
-	s.perf.dumpDir = cfg.PerfDumpDir
-	if cfg.PerfBaseline != nil {
-		s.perf.drift = perfdiff.NewDriftWatcher(cfg.PerfBaseline, perfdiff.DefaultDriftTolerance())
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -221,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.HandleFunc("GET /debug/flight/{sweep}", s.handleFlight)
 	s.mux.HandleFunc("GET /debug/perfsnap", s.handlePerfsnap)
-	s.mux.HandleFunc("GET /debug/perfsnap/ring", s.handlePerfRing)
 	if s.worker != nil {
 		s.mux.Handle("POST "+cluster.CellPath, s.endpoint(cluster.CellPath, s.handleCell))
 	}
@@ -538,28 +500,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"smtflexd_inflight", "Requests currently executing.", "gauge", "", float64(s.adm.executing())},
 		{"smtflexd_draining", "1 while the daemon is draining for shutdown, else 0.", "gauge", "", boolGauge(s.draining.Load())},
 		{"smtflexd_engine_evaluations_total", "Mix evaluations performed by the experiment engine.", "counter", "", float64(s.study().Evaluations())},
-		{"smtflexd_perf_drift_total", "Histogram quantiles observed past tolerance versus the armed perf baseline.", "counter", "", float64(s.perf.drifts.Load())},
-		{"smtflexd_perf_drift_snapshots_total", "Perf snapshots auto-captured by the drift watcher.", "counter", "", float64(s.perf.dumps.Load())},
-		{"smtflexd_perf_drift_snapshot_errors_total", "Drift snapshot writes that failed.", "counter", "", float64(s.perf.dumpErrs.Load())},
 	}
-	{
-		caps, skipped := s.perf.ring.Counts()
-		samples = append(samples,
-			sample{"smtflexd_prof_captures_total", "CPU profiles captured into the continuous-profiling ring.", "counter", "", float64(caps)},
-			sample{"smtflexd_prof_skipped_total", "Continuous-profiling captures skipped (profiler busy).", "counter", "", float64(skipped)})
-	}
-	// Per-cache series from every memo cache the engine reaches (solo-rate,
-	// sweeps, profiles, curves). Label variants of one metric stay adjacent
-	// so write emits each HELP/TYPE header exactly once.
-	counters := s.study().CacheCounters()
-	// Fabric caches ride the same per-cache series: the coordinator's fleet
-	// store and sweep cache, or the worker's cell content store.
-	if s.coord != nil {
-		counters = append(counters, s.coord.CacheCounters()...)
-	}
-	if s.worker != nil {
-		counters = append(counters, s.worker.CacheCounters()...)
-	}
+	// Per-cache series from every memo cache the daemon reaches. Label
+	// variants of one metric stay adjacent so write emits each HELP/TYPE
+	// header exactly once.
+	counters := s.cacheCounters()
 	for _, mc := range []struct {
 		name, help string
 		kind       string
