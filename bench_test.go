@@ -271,15 +271,40 @@ func BenchmarkContentionSolve(b *testing.B) {
 // reused Solver — the hot path of studies and refinement. The allocs/op here
 // is the headline of the regression gate: steady-state solves must report 0.
 func BenchmarkContentionSolveReused(b *testing.B) {
-	src := profiler.NewSource(60_000)
-	d, err := config.DesignByName("4B", true)
-	if err != nil {
-		b.Fatal(err)
-	}
 	progs := make([]string, 24)
 	names := workload.Names()
 	for i := range progs {
 		progs[i] = names[i%len(names)]
+	}
+	benchSolveReused(b, "4B", progs)
+}
+
+// BenchmarkContentionSolveHomogeneous measures a reused Solver on 24 copies
+// of mcf on 3B5s with SMT, the kind of cell that makes up most of the
+// campaign: its threads fall into a few classes, each solved once.
+func BenchmarkContentionSolveHomogeneous(b *testing.B) {
+	progs := make([]string, 24)
+	for i := range progs {
+		progs[i] = "mcf"
+	}
+	benchSolveReused(b, "3B5s", progs)
+}
+
+// BenchmarkContentionSolveDistinct measures a reused Solver on the twelve
+// programs once each on 3B5s with SMT: nothing repeats, so every thread is
+// a class of its own, and this row shows what the classes cost when they
+// save nothing.
+func BenchmarkContentionSolveDistinct(b *testing.B) {
+	benchSolveReused(b, "3B5s", workload.Names())
+}
+
+// benchSolveReused times the solve of Place's placement of progs on the
+// named SMT design through a warmed, reused Solver.
+func benchSolveReused(b *testing.B, design string, progs []string) {
+	src := profiler.NewSource(60_000)
+	d, err := config.DesignByName(design, true)
+	if err != nil {
+		b.Fatal(err)
 	}
 	placement, err := sched.Place(d, workload.Mix{ID: "bench", Programs: progs}, src)
 	if err != nil {

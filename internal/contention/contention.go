@@ -228,32 +228,26 @@ func finiteState(scalar float64, a, b, c, d []float64) bool {
 // NaN and both infinities fail.
 func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
-// normalizeShares rescales all entries so they sum to capacity.
-func normalizeShares(shares []float64, capacity float64) {
+// sumOver adds terms[classOf[j]] for each thread j in thread order: the
+// additions a per-thread sum makes, in the same order.
+func sumOver(terms []float64, classOf []int) float64 {
 	var sum float64
-	for _, s := range shares {
-		sum += s
+	for _, k := range classOf {
+		sum += terms[k]
 	}
-	if sum <= 0 {
-		return
-	}
-	f := capacity / sum
-	for i := range shares {
-		shares[i] *= f
-	}
+	return sum
 }
 
-// normalizeSlice rescales the entries indexed by ths to sum to capacity.
-func normalizeSlice(shares []float64, ths []int, capacity float64) {
-	var sum float64
-	for _, ti := range ths {
-		sum += shares[ti]
-	}
+// normalize rescales the shares of classes lo..hi-1 so that the threads,
+// class classOf[j] for thread j, sum to capacity; each class is scaled
+// once, however many threads it holds.
+func normalize(shares []float64, classOf []int, lo, hi int, capacity float64) {
+	sum := sumOver(shares, classOf)
 	if sum <= 0 {
 		return
 	}
 	f := capacity / sum
-	for _, ti := range ths {
-		shares[ti] *= f
+	for k := lo; k < hi; k++ {
+		shares[k] *= f
 	}
 }

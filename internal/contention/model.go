@@ -1,6 +1,10 @@
 package contention
 
-import "smtflex/internal/interval"
+import (
+	"slices"
+
+	"smtflex/internal/interval"
+)
 
 // Model selects between the solver's default mechanisms and simplified
 // alternatives, enabling ablation studies of the modelling choices: LLC
@@ -87,7 +91,9 @@ func (m Model) memLatency(blocksPerNs, bandwidthGBps float64) float64 {
 }
 
 // flatten returns a placement whose profiles ignore the window-dependent
-// visible fraction when the model asks for it.
+// visible fraction when the model asks for it. Each distinct profile is
+// copied once, so threads that shared a profile still share one and stay
+// in one class.
 func (m Model) flatten(p Placement) Placement {
 	if !m.FlatVisible {
 		return p
@@ -95,6 +101,10 @@ func (m Model) flatten(p Placement) Placement {
 	out := p
 	out.Profiles = make([]*interval.Profile, len(p.Profiles))
 	for i, prof := range p.Profiles {
+		if j := slices.Index(p.Profiles[:i], prof); j >= 0 {
+			out.Profiles[i] = out.Profiles[j]
+			continue
+		}
 		cp := *prof
 		cp.VisibleMin = 0
 		cp.VisibleMinWindow = 0

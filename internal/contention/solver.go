@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"smtflex/internal/config"
 	"smtflex/internal/faults"
 	"smtflex/internal/interval"
 	"smtflex/internal/obs"
@@ -24,26 +23,58 @@ import (
 // Solver; callers that retain them across solves must copy (the package
 // Solve/SolveModel wrappers use a fresh Solver per call, so their results
 // never alias shared state).
+//
+// The fixed-point state is kept per thread class, not per thread (see
+// classify): threads of one class hold equal state in every iteration, so
+// each class's lookups, CPI stack and damped updates are computed once.
 type Solver struct {
-	// Per-core thread groups; group backing slices are reused across solves.
+	// group[c] lists core c's threads in thread order; group backing
+	// slices are reused across solves.
 	group [][]int
-	// Fixed-point state, one entry per thread.
+	// cores holds one entry per class of equal cores.
+	cores []coreClass
+	// cls[i] is thread i's class; seq backs the coreClass.seq slices.
+	cls, seq []int
+	// prof[k] is class k's profile.
+	prof []*interval.Profile
+	// f64 backs every per-class float64 slice below, carved by prepare.
+	f64 []float64
+	// Fixed-point state, one entry per class.
 	rate, llcShare, l1dShare, l2Share, l1iShare []float64
 	// Previous-iteration state for the convergence test.
 	prevRate, prevLLC, prevL1D, prevL2 []float64
-	// weights holds the LLC allocation weights (hoisted out of the
-	// iteration loop — the seed engine rebuilt it every iteration).
-	weights []float64
-	// inv holds each thread's solve-invariant evaluation terms.
-	inv []interval.Invariant
-	// mL1, mL2 and mLLC are each thread's raw data miss ratios at its
+	// terms holds each class's addend to the thread-order sum in progress:
+	// its LLC allocation weight, then its DRAM traffic.
+	terms []float64
+	// mL1, mL2 and mLLC are each class's raw data miss ratios at its
 	// L1D, L1D+L2 and L1D+L2+LLC capacities in the current iteration.
 	mL1, mL2, mLLC []float64
-	// cacheW and ipcs are the per-core inner-loop buffers.
+	// ipc is each class's IPC after width sharing in the current
+	// iteration, and timeShare the fraction of time its threads run.
+	ipc, timeShare []float64
+	// inv holds each class's solve-invariant evaluation terms and stack
+	// its CPI stack in the current iteration.
+	inv   []interval.Invariant
+	stack []interval.CPIStack
+	// cacheW holds one core's cache allocation weights by class, and ipcs
+	// its threads' IPCs in thread order for width sharing.
 	cacheW, ipcs []float64
 	// threads and coreUtil back the returned Result.
 	threads  []ThreadResult
 	coreUtil []float64
+}
+
+// coreClass is a class of equal cores, solved once through its
+// representative.
+type coreClass struct {
+	// core is the representative: the class's lowest-index core.
+	core int
+	// seq lists the class of each of the representative's threads, in
+	// thread order; its distinct classes are lo..hi-1.
+	seq    []int
+	lo, hi int
+	// coRunners is how many of its threads share the pipeline at a time.
+	coRunners int
 }
 
 // NewSolver returns a Solver ready for repeated use.
@@ -72,19 +103,6 @@ func (s *Solver) SolveModelCtx(ctx context.Context, p Placement, m Model) (Resul
 	return res, err
 }
 
-// growF returns buf with length n and every element zeroed, reusing the
-// backing array when it is large enough.
-func growF(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
 // scratch returns buf with length n and unspecified contents (every caller
 // writes before reading), reusing the backing array when possible.
 func scratch[T any](buf []T, n int) []T {
@@ -94,8 +112,9 @@ func scratch[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// prepare sizes the solver's state for n threads on nCores cores.
-func (s *Solver) prepare(n, nCores int) {
+// prepare sizes the per-thread and per-core buffers for n threads on
+// nCores cores and groups the threads by core.
+func (s *Solver) prepare(p Placement, n, nCores int) {
 	if cap(s.group) < nCores {
 		g := make([][]int, nCores)
 		copy(g, s.group)
@@ -105,28 +124,97 @@ func (s *Solver) prepare(n, nCores int) {
 	for c := range s.group {
 		s.group[c] = s.group[c][:0]
 	}
-	s.rate = scratch(s.rate, n)
-	s.llcShare = growF(s.llcShare, n)
-	s.l1dShare = growF(s.l1dShare, n)
-	s.l2Share = growF(s.l2Share, n)
-	s.l1iShare = scratch(s.l1iShare, n)
-	s.prevRate = scratch(s.prevRate, n)
-	s.prevLLC = scratch(s.prevLLC, n)
-	s.prevL1D = scratch(s.prevL1D, n)
-	s.prevL2 = scratch(s.prevL2, n)
-	s.weights = scratch(s.weights, n)
-	s.inv = scratch(s.inv, n)
-	s.mL1 = scratch(s.mL1, n)
-	s.mL2 = scratch(s.mL2, n)
-	s.mLLC = scratch(s.mLLC, n)
-	if cap(s.threads) < n {
-		s.threads = make([]ThreadResult, n)
+	for i, c := range p.CoreOf {
+		s.group[c] = append(s.group[c], i)
 	}
-	s.threads = s.threads[:n]
-	for i := range s.threads {
-		s.threads[i] = ThreadResult{}
+	s.cls = scratch(s.cls, n)
+	s.seq = scratch(s.seq, n)
+	s.threads = scratch(s.threads, n)
+	s.coreUtil = scratch(s.coreUtil, nCores)
+	clear(s.coreUtil)
+	if cap(s.cores) < nCores {
+		s.cores = make([]coreClass, 0, nCores)
 	}
-	s.coreUtil = growF(s.coreUtil, nCores)
+	if cap(s.prof) < n {
+		s.prof = make([]*interval.Profile, 0, n)
+	}
+}
+
+// prepareClasses sizes the per-class state for m classes, zeroed.
+func (s *Solver) prepareClasses(m int) {
+	state := [...]*[]float64{
+		&s.rate, &s.llcShare, &s.l1dShare, &s.l2Share, &s.l1iShare,
+		&s.prevRate, &s.prevLLC, &s.prevL1D, &s.prevL2,
+		&s.terms, &s.mL1, &s.mL2, &s.mLLC, &s.ipc, &s.timeShare,
+	}
+	s.f64 = scratch(s.f64, len(state)*m)
+	clear(s.f64)
+	for i, v := range state {
+		*v = s.f64[i*m : (i+1)*m : (i+1)*m]
+	}
+	s.inv = scratch(s.inv, m)
+	s.stack = scratch(s.stack, m)
+}
+
+// classify splits the threads into classes and returns their number. Two
+// cores are equal when their configurations are equal and their threads,
+// in thread order, have pairwise-identical profile pointers; each core is
+// compared only against the representatives found so far. Two threads are
+// in one class when they have the same profile pointer and run on equal
+// cores. A class's threads start from equal state and every step updates
+// them alike, so they hold equal state in every iteration. A placement
+// with no repeats is the case of one thread per class.
+func (s *Solver) classify(p Placement) int {
+	cores := p.Design.Cores
+	s.cores = s.cores[:0]
+	s.prof = s.prof[:0]
+	off := 0
+next:
+	for c, ths := range s.group {
+		if len(ths) == 0 {
+			continue
+		}
+		for _, cc := range s.cores {
+			if sameProfiles(p.Profiles, s.group[cc.core], ths) && cores[cc.core] == cores[c] {
+				for j, ti := range ths {
+					s.cls[ti] = cc.seq[j]
+				}
+				continue next
+			}
+		}
+		cc := coreClass{core: c, seq: s.seq[off : off+len(ths)], lo: len(s.prof)}
+		off += len(ths)
+		for j, ti := range ths {
+			k := len(s.prof)
+			for jj, tj := range ths[:j] {
+				if p.Profiles[tj] == p.Profiles[ti] {
+					k = cc.seq[jj]
+					break
+				}
+			}
+			if k == len(s.prof) {
+				s.prof = append(s.prof, p.Profiles[ti])
+			}
+			s.cls[ti], cc.seq[j] = k, k
+		}
+		cc.hi = len(s.prof)
+		s.cores = append(s.cores, cc)
+	}
+	return len(s.prof)
+}
+
+// sameProfiles reports whether threads a and b have pairwise-identical
+// profile pointers.
+func sameProfiles(profiles []*interval.Profile, a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if profiles[a[j]] != profiles[b[j]] {
+			return false
+		}
+	}
+	return true
 }
 
 // SolveModel iterates to a fixed point with explicit model choices. The
@@ -134,16 +222,18 @@ func (s *Solver) prepare(n, nCores int) {
 // bit-identical — but each iteration does only the work that can change:
 // a thread's core, ROB partition and I-cache share are fixed by the
 // placement, so their evaluation terms are computed once per solve (see
-// interval.Invariant), and each data-curve lookup is made at most once per
+// interval.Invariant); each data-curve lookup is made at most once per
 // iteration, only when its capacity moved, and shared by every step that
-// reads it.
+// reads it; and all of it is done once per thread class. Every sum across
+// threads still adds one value per thread in thread order — never a
+// product, since ((x+x)+x)+x need not equal 4*x.
 func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
 	p = m.flatten(p)
 	n := len(p.CoreOf)
-	s.prepare(n, len(p.Design.Cores))
+	s.prepare(p, n, len(p.Design.Cores))
 	res := Result{
 		Threads:         s.threads,
 		CoreUtilization: s.coreUtil,
@@ -153,32 +243,30 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		res.Diag.Converged = true
 		return res, nil
 	}
-
-	// Per-core thread groups.
-	cores := p.Design.Cores
-	group := s.group
-	for i, c := range p.CoreOf {
-		group[c] = append(group[c], i)
-	}
+	s.prepareClasses(s.classify(p))
 	s.setInvariants(p)
 
 	// State: absolute rates (µops/ns), initialized optimistically.
+	cores := p.Design.Cores
 	rate := s.rate
-	for i, c := range p.CoreOf {
-		cc := &cores[c]
-		rate[i] = float64(cc.Width) * cc.FrequencyGHz / 2
+	for _, cc := range s.cores {
+		core := &cores[cc.core]
+		for k := cc.lo; k < cc.hi; k++ {
+			rate[k] = float64(core.Width) * core.FrequencyGHz / 2
+		}
 	}
 	llcShare := s.llcShare
 	l1dShare := s.l1dShare
 	l2Share := s.l2Share
-	inv, mL1, mL2, mLLC := s.inv, s.mL1, s.mL2, s.mLLC
+	inv, mL1, mL2, mLLC, terms := s.inv, s.mL1, s.mL2, s.mLLC, s.terms
+	stack, ipc, timeShare := s.stack, s.ipc, s.timeShare
+	cls := s.cls
 
 	llcBytes := float64(p.Design.LLC.SizeBytes)
 	memLatNs := m.memLatency(0, p.Design.MemBandwidthGBps)
 
 	f := m.dampFactor()
 	maxIter := m.maxIterations()
-	weights := s.weights
 
 	for iter := 0; iter < maxIter; iter++ {
 		if err := faults.Check(faults.SiteSolver); err != nil {
@@ -191,8 +279,8 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		prevMemLat := memLatNs
 
 		// --- Private cache shares within each core (allocation-weighted) ---
-		for c, ths := range group {
-			s.shareCaches(p, ths, &cores[c], f)
+		for i := range s.cores {
+			s.shareCaches(p, &s.cores[i], f)
 		}
 
 		// --- LLC shares across all threads (allocation-weighted) ---
@@ -200,69 +288,67 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		// L1D+L2 lookups made here serve the CPI stacks below as well. A
 		// ratio whose capacity has not moved since the previous iteration
 		// looked it up is kept: the same function of the same floats.
-		var wsum float64
-		for i := range weights {
-			prof := p.Profiles[i]
-			l1Moved := iter == 0 || l1dShare[i] != s.prevL1D[i]
+		for k, prof := range s.prof {
+			l1Moved := iter == 0 || l1dShare[k] != s.prevL1D[k]
 			if l1Moved {
-				mL1[i] = prof.DataMissAt(l1dShare[i])
+				mL1[k] = prof.DataMissAt(l1dShare[k])
 			}
-			if l1Moved || l2Share[i] != s.prevL2[i] {
-				mL2[i] = prof.DataMissAt(l1dShare[i] + l2Share[i])
+			if l1Moved || l2Share[k] != s.prevL2[k] {
+				mL2[k] = prof.DataMissAt(l1dShare[k] + l2Share[k])
 			}
-			weights[i] = inv[i].DataPerUop * mL2[i] * rate[i]
-			wsum += weights[i]
+			terms[k] = inv[k].DataPerUop * mL2[k] * rate[k]
 		}
+		wsum := sumOver(terms, cls)
 		floor := 0.05 / float64(n)
-		for i := range weights {
+		for k := range llcShare {
 			var frac float64
 			switch {
 			case m.EqualLLCShares:
 				frac = 1 / float64(n)
 			case wsum > 1e-15:
-				frac = weights[i] / wsum
+				frac = terms[k] / wsum
 			default:
 				frac = 1 / float64(n)
 			}
 			frac = math.Max(frac, floor)
-			llcShare[i] = damp(llcShare[i], frac*llcBytes, f)
+			llcShare[k] = damp(llcShare[k], frac*llcBytes, f)
 		}
-		normalizeShares(llcShare, llcBytes)
+		normalize(llcShare, cls, 0, len(llcShare), llcBytes)
 
 		// --- Memory traffic and latency (fills plus writebacks) ---
-		var traffic float64 // blocks per ns
-		for i := range rate {
-			prof := p.Profiles[i]
-			if iter == 0 || l1dShare[i] != s.prevL1D[i] || l2Share[i] != s.prevL2[i] || llcShare[i] != s.prevLLC[i] {
-				mLLC[i] = prof.DataMissAt(l1dShare[i] + l2Share[i] + llcShare[i])
+		for k, prof := range s.prof {
+			if iter == 0 || l1dShare[k] != s.prevL1D[k] || l2Share[k] != s.prevL2[k] || llcShare[k] != s.prevLLC[k] {
+				mLLC[k] = prof.DataMissAt(l1dShare[k] + l2Share[k] + llcShare[k])
 			}
-			traffic += inv[i].DataPerUop * mLLC[i] * (1 + prof.WritebackFraction) * rate[i]
+			terms[k] = inv[k].DataPerUop * mLLC[k] * (1 + prof.WritebackFraction) * rate[k]
 		}
+		traffic := sumOver(terms, cls) // blocks per ns
 		memLatNs = damp(memLatNs, m.memLatency(traffic, p.Design.MemBandwidthGBps), f)
 		memLatNs = faults.Corrupt(faults.SiteSolver, memLatNs)
 
 		// --- Per-thread CPI and per-core width/time sharing ---
-		for c, ths := range group {
-			if len(ths) == 0 {
-				continue
+		for i := range s.cores {
+			cc := &s.cores[i]
+			core := &cores[cc.core]
+			memLatCycles := memLatNs * core.FrequencyGHz
+			for k := cc.lo; k < cc.hi; k++ {
+				st := inv[k].Stack(mL1[k], mL2[k], mLLC[k], memLatCycles)
+				stack[k] = st
+				ipc[k] = 1 / st.Total()
 			}
-			cc := &cores[c]
-			ipcs := scratch(s.ipcs, len(ths))
-			s.ipcs = ipcs
-			coRunners, tshare := smtOccupancy(cc, p.Design.SMTEnabled, len(ths))
-			memLatCycles := memLatNs * cc.FrequencyGHz
-			for k, ti := range ths {
-				st := &res.Threads[ti].Stack
-				*st = inv[ti].Stack(mL1[ti], mL2[ti], mLLC[ti], memLatCycles)
-				ipcs[k] = 1 / st.Total()
+			if p.Design.SMTEnabled && cc.coRunners > 1 {
+				ipcs := scratch(s.ipcs, len(cc.seq))
+				s.ipcs = ipcs
+				for j, k := range cc.seq {
+					ipcs[j] = ipc[k]
+				}
+				interval.ShareWidthEff(ipcs, core.Width, m.effIssue())
+				for j, k := range cc.seq {
+					ipc[k] = ipcs[j]
+				}
 			}
-			if p.Design.SMTEnabled && coRunners > 1 {
-				interval.ShareWidthEff(ipcs, cc.Width, m.effIssue())
-			}
-			for k, ti := range ths {
-				res.Threads[ti].IPC = ipcs[k]
-				res.Threads[ti].TimeShare = tshare
-				rate[ti] = damp(rate[ti], ipcs[k]*tshare*cc.FrequencyGHz, f)
+			for k := cc.lo; k < cc.hi; k++ {
+				rate[k] = damp(rate[k], ipc[k]*timeShare[k]*core.FrequencyGHz, f)
 			}
 		}
 
@@ -299,48 +385,56 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 			ErrNotConverged, res.Diag.Residual, res.Diag.Iterations, m.Tolerance)
 	}
 
-	// Finalize. The last iteration's L1D+L2+LLC lookup is the final
-	// shares' DRAM miss ratio.
-	var traffic float64
+	// Finalize, per thread. The last iteration's L1D+L2+LLC lookup is the
+	// final shares' DRAM miss ratio.
+	for k, prof := range s.prof {
+		terms[k] = inv[k].DataPerUop * mLLC[k] * (1 + prof.WritebackFraction) * rate[k]
+	}
 	for i, c := range p.CoreOf {
-		cc := &cores[c]
-		th := &res.Threads[i]
-		th.UopsPerNs = rate[i]
-		th.Shares = interval.Shares{
-			L1I: s.l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i],
-			MemLatencyCycles: memLatNs * cc.FrequencyGHz,
+		k := cls[i]
+		core := &cores[c]
+		res.Threads[i] = ThreadResult{
+			Stack:     stack[k],
+			IPC:       ipc[k],
+			TimeShare: timeShare[k],
+			UopsPerNs: rate[k],
+			Shares: interval.Shares{
+				L1I: s.l1iShare[k], L1D: l1dShare[k], L2: l2Share[k], LLC: llcShare[k],
+				MemLatencyCycles: memLatNs * core.FrequencyGHz,
+			},
 		}
-		res.CoreUtilization[c] += th.IPC * th.TimeShare / float64(cc.Width)
-		traffic += inv[i].DataPerUop * mLLC[i] * (1 + p.Profiles[i].WritebackFraction) * rate[i]
+		res.CoreUtilization[c] += ipc[k] * timeShare[k] / float64(core.Width)
 	}
 	res.MemLatencyNs = memLatNs
-	res.BusUtilization = math.Min(traffic*blockBytes/p.Design.MemBandwidthGBps, 1)
+	res.BusUtilization = math.Min(sumOver(terms, cls)*blockBytes/p.Design.MemBandwidthGBps, 1)
 	publishMachStats(p, res)
 	return res, nil
 }
 
-// setInvariants fixes each thread's I-cache share and computes its
-// solve-invariant evaluation terms at its core's ROB partition. The I-cache
-// is shared by *code*, not by thread: co-runners executing the same
-// benchmark fetch the same instructions, so on an SMT core the capacity
-// splits across distinct benchmarks, not across threads. Without SMT each
-// time-shared thread uses the full capacity during its slice.
+// setInvariants fixes each class's SMT occupancy and I-cache share and
+// computes its solve-invariant evaluation terms at its core's ROB
+// partition. The I-cache is shared by *code*, not by thread: co-runners
+// executing the same benchmark fetch the same instructions, so on an SMT
+// core the capacity splits across distinct benchmarks, not across threads.
+// Without SMT each time-shared thread uses the full capacity during its
+// slice.
 func (s *Solver) setInvariants(p Placement) {
 	smt := p.Design.SMTEnabled
-	for c, ths := range s.group {
-		if len(ths) == 0 {
-			continue
-		}
-		cc := &p.Design.Cores[c]
-		coRunners, _ := smtOccupancy(cc, smt, len(ths))
-		part := interval.Partition(*cc, coRunners)
-		iShare := float64(cc.L1I.SizeBytes)
+	for i := range s.cores {
+		cc := &s.cores[i]
+		core := &p.Design.Cores[cc.core]
+		ths := s.group[cc.core]
+		var tshare float64
+		cc.coRunners, tshare = smtOccupancy(core, smt, len(ths))
+		part := interval.Partition(*core, cc.coRunners)
+		iShare := float64(core.L1I.SizeBytes)
 		if smt && len(ths) > 1 {
 			iShare /= float64(distinctBenchmarks(p, ths))
 		}
-		for _, ti := range ths {
-			s.l1iShare[ti] = iShare
-			s.inv[ti] = p.Profiles[ti].Invariant(cc, part, iShare)
+		for k := cc.lo; k < cc.hi; k++ {
+			s.timeShare[k] = tshare
+			s.l1iShare[k] = iShare
+			s.inv[k] = s.prof[k].Invariant(core, part, iShare)
 		}
 	}
 }
@@ -364,14 +458,14 @@ func distinctBenchmarks(p Placement, ths []int) int {
 }
 
 // residual returns the iteration's largest relative change of any damped
-// state variable.
+// state variable. A class's threads all changed by the same amount.
 func (s *Solver) residual(prevMemLat, memLat float64) float64 {
 	r := relChange(prevMemLat, memLat)
-	for i := range s.rate {
-		r = math.Max(r, relChange(s.prevRate[i], s.rate[i]))
-		r = math.Max(r, relChange(s.prevLLC[i], s.llcShare[i]))
-		r = math.Max(r, relChange(s.prevL1D[i], s.l1dShare[i]))
-		r = math.Max(r, relChange(s.prevL2[i], s.l2Share[i]))
+	for k := range s.rate {
+		r = math.Max(r, relChange(s.prevRate[k], s.rate[k]))
+		r = math.Max(r, relChange(s.prevLLC[k], s.llcShare[k]))
+		r = math.Max(r, relChange(s.prevL1D[k], s.l1dShare[k]))
+		r = math.Max(r, relChange(s.prevL2[k], s.l2Share[k]))
 	}
 	return r
 }
@@ -385,40 +479,37 @@ func (s *Solver) unchanged(prevMemLat, memLat float64) bool {
 }
 
 // shareCaches distributes the core-private data-cache capacities among the
-// threads on one core, weighted by each thread's allocation rate into the
-// cache (misses per ns), with a floor so no thread is starved to zero.
-// Without SMT each time-shared thread uses the full capacity during its
-// slice.
-func (s *Solver) shareCaches(p Placement, ths []int, cc *config.Core, f float64) {
-	if len(ths) == 0 {
-		return
-	}
+// threads on one class of cores, weighted by each thread's allocation rate
+// into the cache (misses per ns), with a floor so no thread is starved to
+// zero. Without SMT each time-shared thread uses the full capacity during
+// its slice.
+func (s *Solver) shareCaches(p Placement, cc *coreClass, f float64) {
+	core := &p.Design.Cores[cc.core]
 	l1dShare, l2Share := s.l1dShare, s.l2Share
-	if !p.Design.SMTEnabled || len(ths) == 1 {
-		for _, ti := range ths {
-			l1dShare[ti] = float64(cc.L1D.SizeBytes)
-			l2Share[ti] = float64(cc.L2.SizeBytes)
+	n := len(cc.seq)
+	if !p.Design.SMTEnabled || n == 1 {
+		for k := cc.lo; k < cc.hi; k++ {
+			l1dShare[k] = float64(core.L1D.SizeBytes)
+			l2Share[k] = float64(core.L2.SizeBytes)
 		}
 		return
 	}
 	// Allocation weights: misses into L1D per ns approximate occupancy
-	// pressure at every private level. A thread's L1D share has not moved
+	// pressure at every private level. A class's L1D share has not moved
 	// since the previous iteration looked its miss ratio up; the first
 	// iteration seeds an equal split.
-	n := len(ths)
-	w := scratch(s.cacheW, n)
+	w := scratch(s.cacheW, len(s.prof))
 	s.cacheW = w
-	var sum float64
-	for k, ti := range ths {
-		miss := s.mL1[ti]
-		if l1dShare[ti] == 0 {
-			miss = p.Profiles[ti].DataMissAt(float64(cc.L1D.SizeBytes) / float64(n))
+	for k := cc.lo; k < cc.hi; k++ {
+		miss := s.mL1[k]
+		if l1dShare[k] == 0 {
+			miss = s.prof[k].DataMissAt(float64(core.L1D.SizeBytes) / float64(n))
 		}
-		w[k] = s.inv[ti].DataPerUop * miss * s.rate[ti]
-		sum += w[k]
+		w[k] = s.inv[k].DataPerUop * miss * s.rate[k]
 	}
+	sum := sumOver(w, cc.seq)
 	floor := 0.08 / float64(n)
-	for k, ti := range ths {
+	for k := cc.lo; k < cc.hi; k++ {
 		var frac float64
 		if sum > 1e-15 {
 			frac = w[k] / sum
@@ -426,9 +517,9 @@ func (s *Solver) shareCaches(p Placement, ths []int, cc *config.Core, f float64)
 			frac = 1 / float64(n)
 		}
 		frac = math.Max(frac, floor)
-		l1dShare[ti] = damp(l1dShare[ti], frac*float64(cc.L1D.SizeBytes), f)
-		l2Share[ti] = damp(l2Share[ti], frac*float64(cc.L2.SizeBytes), f)
+		l1dShare[k] = damp(l1dShare[k], frac*float64(core.L1D.SizeBytes), f)
+		l2Share[k] = damp(l2Share[k], frac*float64(core.L2.SizeBytes), f)
 	}
-	normalizeSlice(l1dShare, ths, float64(cc.L1D.SizeBytes))
-	normalizeSlice(l2Share, ths, float64(cc.L2.SizeBytes))
+	normalize(l1dShare, cc.seq, cc.lo, cc.hi, float64(core.L1D.SizeBytes))
+	normalize(l2Share, cc.seq, cc.lo, cc.hi, float64(core.L2.SizeBytes))
 }

@@ -46,10 +46,11 @@ func (b RefineBudget) objective() func(contention.Result) float64 {
 // expensive than Place and intended for small studies and validation of the
 // greedy heuristic.
 func PlaceRefined(d config.Design, mix workload.Mix, src ProfileSource, budget RefineBudget) (contention.Placement, float64, error) {
-	p, err := Place(d, mix, src)
+	pr, err := resolve(d, mix, src)
 	if err != nil {
 		return contention.Placement{}, 0, err
 	}
+	p := place(d, pr)
 	objective := budget.objective()
 	// One reused solver for the whole local search: refinement solves
 	// O(passes × threads × cores) candidate placements, and the scratch
@@ -62,12 +63,6 @@ func PlaceRefined(d config.Design, mix workload.Mix, src ProfileSource, budget R
 			return 0, err
 		}
 		return objective(res), nil
-	}
-
-	// Profiles per thread per core type, for re-assignments.
-	profiles, err := profilesByType(d, mix, src)
-	if err != nil {
-		return contention.Placement{}, 0, err
 	}
 
 	best, err := score(p)
@@ -87,7 +82,7 @@ func PlaceRefined(d config.Design, mix workload.Mix, src ProfileSource, budget R
 				}
 				cand := clonePlacement(p)
 				cand.CoreOf[i] = c
-				cand.Profiles[i] = profiles[i][d.Cores[c].Type]
+				cand.Profiles[i] = pr.profile(i, d.Cores[c].Type)
 				v, err := score(cand)
 				if err != nil {
 					return contention.Placement{}, 0, err
@@ -107,8 +102,8 @@ func PlaceRefined(d config.Design, mix workload.Mix, src ProfileSource, budget R
 				}
 				cand := clonePlacement(p)
 				cand.CoreOf[i], cand.CoreOf[j] = p.CoreOf[j], p.CoreOf[i]
-				cand.Profiles[i] = profiles[i][d.Cores[cand.CoreOf[i]].Type]
-				cand.Profiles[j] = profiles[j][d.Cores[cand.CoreOf[j]].Type]
+				cand.Profiles[i] = pr.profile(i, d.Cores[cand.CoreOf[i]].Type)
+				cand.Profiles[j] = pr.profile(j, d.Cores[cand.CoreOf[j]].Type)
 				v, err := score(cand)
 				if err != nil {
 					return contention.Placement{}, 0, err

@@ -78,40 +78,84 @@ func soloIPC(p *interval.Profile, cc *config.Core) float64 {
 	return 1 / p.Evaluate(*cc, w, sh).Total()
 }
 
-// typeProfiles holds one thread's profile per core type; types absent from
-// the design stay nil.
+// typeProfiles holds one program's profile per core type; types absent
+// from the design stay nil.
 type typeProfiles [config.NumCoreTypes]*interval.Profile
 
-// profilesByType resolves each thread's profile for every core type present
-// in the design. Every program name resolves before any profile is
-// requested, so a bad name fails before a cold source measures anything.
-func profilesByType(d config.Design, mix workload.Mix, src ProfileSource) ([]typeProfiles, error) {
-	specs := make([]trace.Spec, mix.NumThreads())
+// programs holds what placement needs of a mix's programs, resolved once
+// per distinct program however many threads run it. A program is named by
+// its index in the suite's sorted names (workload.Index), so the tables
+// need no map.
+type programs struct {
+	// of[i] is thread i's program.
+	of []int
+	// prof[g] and ipcOn[g] are program g's profile and solo IPC per core
+	// type present in the design; programs absent from the mix stay zero.
+	prof  []typeProfiles
+	ipcOn [][config.NumCoreTypes]float64
+}
+
+// profile returns thread i's profile for core type t.
+func (pr *programs) profile(i int, t config.CoreType) *interval.Profile {
+	return pr.prof[pr.of[i]][t]
+}
+
+// resolve validates the design and the mix and resolves each distinct
+// program's profile and solo IPC on every core type present in the design.
+// Every program name resolves before any profile is requested, so a bad
+// name fails before a cold source measures anything.
+func resolve(d config.Design, mix workload.Mix, src ProfileSource) (*programs, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	if mix.NumThreads() == 0 {
+		return nil, fmt.Errorf("sched: empty mix %s", mix.ID)
+	}
+	// Offline signal: solo IPC on the first core of each type.
+	var typeCfg [config.NumCoreTypes]*config.Core
+	for c := range d.Cores {
+		t := d.Cores[c].Type
+		if t >= config.NumCoreTypes {
+			return nil, fmt.Errorf("sched: design %s core %d has unknown type %d", d.Name, c, t)
+		}
+		if typeCfg[t] == nil {
+			typeCfg[t] = &d.Cores[c]
+		}
+	}
+	pr := &programs{of: make([]int, mix.NumThreads())}
+	n := 0
 	for i, name := range mix.Programs {
-		s, err := workload.ByName(name)
+		g, err := workload.Index(name)
 		if err != nil {
 			return nil, err
 		}
-		specs[i] = s
+		pr.of[i] = g
+		n = max(n, g+1)
 	}
-	out := make([]typeProfiles, len(specs))
-	for i, spec := range specs {
+	pr.prof = make([]typeProfiles, n)
+	pr.ipcOn = make([][config.NumCoreTypes]float64, n)
+	for i, g := range pr.of {
+		if pr.prof[g] != (typeProfiles{}) {
+			continue // an earlier thread runs the same program
+		}
+		spec, err := workload.ByName(mix.Programs[i])
+		if err != nil {
+			return nil, err
+		}
 		for c := range d.Cores {
 			t := d.Cores[c].Type
-			if t >= config.NumCoreTypes {
-				return nil, fmt.Errorf("sched: design %s core %d has unknown type %d", d.Name, c, t)
-			}
-			if out[i][t] != nil {
+			if pr.prof[g][t] != nil {
 				continue
 			}
 			p, err := src.Profile(spec, t)
 			if err != nil {
 				return nil, fmt.Errorf("sched: profiling %s on %s: %w", spec.Name, t, err)
 			}
-			out[i][t] = p
+			pr.prof[g][t] = p
+			pr.ipcOn[g][t] = soloIPC(p, typeCfg[t])
 		}
 	}
-	return out, nil
+	return pr, nil
 }
 
 // Place builds a contention.Placement for the mix on the design.
@@ -123,35 +167,16 @@ func profilesByType(d config.Design, mix workload.Mix, src ProfileSource) ([]typ
 // marginal chip throughput is highest, respecting SMT context limits; with
 // SMT disabled, excess threads time-share, filling big cores first.
 func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Placement, error) {
-	if err := d.Validate(); err != nil {
-		return contention.Placement{}, err
-	}
-	n := mix.NumThreads()
-	if n == 0 {
-		return contention.Placement{}, fmt.Errorf("sched: empty mix %s", mix.ID)
-	}
-	prof, err := profilesByType(d, mix, src)
+	pr, err := resolve(d, mix, src)
 	if err != nil {
 		return contention.Placement{}, err
 	}
+	return place(d, pr), nil
+}
 
-	// Offline signal: solo IPC of each thread on the first core of each
-	// type in the design.
-	var typeCfg [config.NumCoreTypes]*config.Core
-	for c := range d.Cores {
-		if t := d.Cores[c].Type; typeCfg[t] == nil {
-			typeCfg[t] = &d.Cores[c]
-		}
-	}
-	ipcOn := make([][config.NumCoreTypes]float64, n)
-	for i := range ipcOn {
-		for t, cc := range typeCfg {
-			if cc != nil {
-				ipcOn[i][t] = soloIPC(prof[i][t], cc)
-			}
-		}
-	}
-
+// place is Place on resolved programs.
+func place(d config.Design, pr *programs) contention.Placement {
+	n := len(pr.of)
 	coreOf := make([]int, n)
 	for i := range coreOf {
 		coreOf[i] = -1
@@ -172,9 +197,9 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := order[a], order[b]
-		ra := ipcOn[ta][biggest] / ipcOn[ta][smallest]
-		rb := ipcOn[tb][biggest] / ipcOn[tb][smallest]
+		ga, gb := pr.of[order[a]], pr.of[order[b]]
+		ra := pr.ipcOn[ga][biggest] / pr.ipcOn[ga][smallest]
+		rb := pr.ipcOn[gb][biggest] / pr.ipcOn[gb][smallest]
 		return ra > rb
 	})
 	phase1 := n
@@ -195,7 +220,7 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	// candidate that wins becomes its core's new current value.
 	if phase1 < n {
 		const tieBreak = 1e-6
-		e := newEstimator(d, prof, ipcOn)
+		e := newEstimator(d, pr)
 		before := make([]float64, len(d.Cores))
 		after := make([]float64, len(d.Cores))
 		for c := range d.Cores {
@@ -220,25 +245,25 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 
 	profiles := make([]*interval.Profile, n)
 	for i := range profiles {
-		profiles[i] = prof[i][d.Cores[coreOf[i]].Type]
+		profiles[i] = pr.profile(i, d.Cores[coreOf[i]].Type)
 	}
-	return contention.Placement{Design: d, CoreOf: coreOf, Profiles: profiles}, nil
+	return contention.Placement{Design: d, CoreOf: coreOf, Profiles: profiles}
 }
 
-// estimator projects core throughputs for Place's phase 2. A thread's IPC
-// estimate depends only on the thread, its core's configuration and the
+// estimator projects core throughputs for Place's phase 2. An IPC
+// estimate depends only on the program, its core's configuration and the
 // number of co-runners, so each is evaluated once per Place call and
-// memoized; cores with identical configurations share estimates.
+// memoized per program; cores with identical configurations share
+// estimates.
 type estimator struct {
-	d     config.Design
-	prof  []typeProfiles
-	ipcOn [][config.NumCoreTypes]float64
+	d  config.Design
+	pr *programs
 	// class[c] numbers core c's configuration: adjacent identical cores
 	// (the design's cores of one type) share a class.
 	class    []int
 	nClasses int
 	// memo holds the IPC estimates at
-	// ((thread*nClasses)+class)*stride + coRunners; zero means not yet
+	// ((program*nClasses)+class)*stride + coRunners; zero means not yet
 	// evaluated (an estimate of exactly zero is simply re-evaluated).
 	memo   []float64
 	stride int
@@ -247,8 +272,8 @@ type estimator struct {
 	ipcs []float64
 }
 
-func newEstimator(d config.Design, prof []typeProfiles, ipcOn [][config.NumCoreTypes]float64) *estimator {
-	e := &estimator{d: d, prof: prof, ipcOn: ipcOn, class: make([]int, len(d.Cores))}
+func newEstimator(d config.Design, pr *programs) *estimator {
+	e := &estimator{d: d, pr: pr, class: make([]int, len(d.Cores))}
 	maxCtx := 0
 	for c := range d.Cores {
 		if c > 0 && d.Cores[c] != d.Cores[c-1] {
@@ -259,7 +284,7 @@ func newEstimator(d config.Design, prof []typeProfiles, ipcOn [][config.NumCoreT
 	}
 	e.nClasses++
 	e.stride = maxCtx + 1
-	e.memo = make([]float64, len(prof)*e.nClasses*e.stride)
+	e.memo = make([]float64, len(pr.prof)*e.nClasses*e.stride)
 	return e
 }
 
@@ -276,7 +301,7 @@ func (e *estimator) throughput(c int, ths []int) float64 {
 		// throughputs.
 		var sum float64
 		for _, t := range ths {
-			sum += e.ipcOn[t][cc.Type]
+			sum += e.pr.ipcOn[e.pr.of[t]][cc.Type]
 		}
 		return sum / float64(k)
 	}
@@ -288,7 +313,7 @@ func (e *estimator) throughput(c int, ths []int) float64 {
 	}
 	ipcs := e.ipcs[:0]
 	for _, t := range ths {
-		ipcs = append(ipcs, e.estimate(t, c, coRunners))
+		ipcs = append(ipcs, e.estimate(e.pr.of[t], c, coRunners))
 	}
 	e.ipcs = ipcs
 	if coRunners > 1 {
@@ -301,11 +326,11 @@ func (e *estimator) throughput(c int, ths []int) float64 {
 	return sum * timeShare * cc.FrequencyGHz
 }
 
-// estimate returns thread t's IPC on core c among coRunners co-running
+// estimate returns program g's IPC on core c among coRunners co-running
 // threads, with private caches split evenly and a nominally loaded LLC and
 // memory.
-func (e *estimator) estimate(t, c, coRunners int) float64 {
-	key := (t*e.nClasses+e.class[c])*e.stride + coRunners
+func (e *estimator) estimate(g, c, coRunners int) float64 {
+	key := (g*e.nClasses+e.class[c])*e.stride + coRunners
 	if v := e.memo[key]; v != 0 {
 		return v
 	}
@@ -317,7 +342,7 @@ func (e *estimator) estimate(t, c, coRunners int) float64 {
 		LLC:              float64(config.LLCConfig().SizeBytes) / 8,
 		MemLatencyCycles: 45 * cc.FrequencyGHz * 1.5,
 	}
-	v := 1 / e.prof[t][cc.Type].Evaluate(*cc, interval.Partition(*cc, coRunners), sh).Total()
+	v := 1 / e.pr.prof[g][cc.Type].Evaluate(*cc, interval.Partition(*cc, coRunners), sh).Total()
 	e.memo[key] = v
 	return v
 }

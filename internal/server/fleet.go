@@ -29,7 +29,7 @@ type FlightListResponse struct {
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "fleet aggregation is a coordinator surface (start with -cluster-workers)"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "fleet aggregation is a coordinator surface (start smtflexd with -role=coordinator -workers URLs)"})
 		return
 	}
 	snap := s.coord.FleetSnapshot(r.Context())
@@ -54,7 +54,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "flight records are a coordinator surface (start with -cluster-workers)"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "flight records are a coordinator surface (start smtflexd with -role=coordinator -workers URLs)"})
 		return
 	}
 	if s.col == nil {

@@ -221,6 +221,19 @@ func TestFlightEndpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSurfacesNameTheirFlags: on a solo daemon the
+// coordinator-only surfaces answer 404 with a body that names the flags
+// that start a coordinator, -role=coordinator and -workers.
+func TestCoordinatorSurfacesNameTheirFlags(t *testing.T) {
+	_, soloTS := newTestServer(t, Config{})
+	for _, path := range []string{"/debug/fleet", "/debug/flight"} {
+		code, body := getJSON(t, soloTS.URL+path)
+		if code != http.StatusNotFound || !strings.Contains(string(body), "-role=coordinator -workers") {
+			t.Errorf("solo %s: code=%d body=%s, want 404 naming -role=coordinator -workers", path, code, body)
+		}
+	}
+}
+
 // TestShedEchoesRequestID: a draining daemon's 503 still carries the
 // caller's request ID, so a coordinator (or operator) can correlate the shed
 // with the dispatch that hit it.

@@ -49,9 +49,8 @@ func (s *Study) workers() int {
 
 // runIndexed runs fn(ctx, i) for every i in [0, n) on up to workers
 // goroutines, stopping early if ctx is cancelled. On a task error the pool
-// stops handing out new indices and returns the error with the lowest index
-// among those observed (the serial engine's error, unless a later index
-// failed first and won the race to stop the pool). On cancellation it
+// stops handing out new indices and returns the error with the lowest
+// failing index, the serial engine's error. On cancellation it
 // returns ctx.Err(), unless every index was already handed out and
 // completed — then the work is done and the cancellation is irrelevant. With
 // one worker it degenerates to the plain serial loop. queue, when non-nil,
@@ -105,8 +104,15 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 		go func() {
 			defer wg.Done()
 			for {
+				// Check for a failure before claiming, so that every
+				// claimed index runs: all indices below the lowest failing
+				// one are claimed before it, and it is claimed before any
+				// failure is recorded.
+				if failed.Load() {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
 				if err := ctx.Err(); err != nil {

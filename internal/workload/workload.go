@@ -260,11 +260,21 @@ func buildSuite() []trace.Spec {
 
 // ByName returns a copy of the named benchmark spec.
 func ByName(name string) (trace.Spec, error) {
-	i := sort.SearchStrings(names, name)
-	if i == len(names) || names[i] != name {
-		return trace.Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	i, err := Index(name)
+	if err != nil {
+		return trace.Spec{}, err
 	}
 	return clone(suite[i]), nil
+}
+
+// Index returns the named benchmark's position in Names(), so a caller can
+// keep a table per benchmark without building names or maps.
+func Index(name string) (int, error) {
+	i := sort.SearchStrings(names, name)
+	if i == len(names) || names[i] != name {
+		return 0, fmt.Errorf("workload: unknown benchmark %q", name)
+	}
+	return i, nil
 }
 
 // Names returns the benchmark names in sorted order.

@@ -59,6 +59,14 @@ func TestByName(t *testing.T) {
 	if got := Names(); len(got) != 12 || !sort.StringsAreSorted(got) {
 		t.Errorf("Names() = %v", got)
 	}
+	for want, name := range Names() {
+		if got, err := Index(name); err != nil || got != want {
+			t.Errorf("Index(%s) = %d, %v; want %d", name, got, err, want)
+		}
+	}
+	if _, err := Index("doom"); err == nil {
+		t.Error("Index accepted an unknown benchmark")
+	}
 }
 
 // TestByNameReadsOneTable holds lookups to the one table: at most one
