@@ -15,13 +15,15 @@
 //	smtflexd -role=coordinator -workers http://localhost:8081,http://localhost:8082
 //
 // The coordinator serves the same API; /v1/sweep fans out across the fleet
-// and returns tables bit-identical to a solo daemon. Each worker gets four
-// dispatch slots that claim cells from one shared list per sweep, so faster
-// workers take more cells. Workers additionally serve POST /cluster/v1/cell;
-// /debug/cluster dumps cells done per worker and the dispatch counters.
-// Dispatches propagate the coordinator's request ID and trace context, and
-// worker spans are stitched back into one trace per sweep — see
-// /debug/traces, /debug/fleet and /debug/flight below.
+// and returns tables bit-identical to a solo daemon. Its sweeps live in the
+// engine's one sweep cache, bounded by -cache-cap, which /v1/figures reads
+// too, so a sweep either route computed is not dispatched again. Each
+// worker gets four dispatch slots that claim cells from one shared list per
+// sweep, so faster workers take more cells. Workers additionally serve
+// POST /cluster/v1/cell; /debug/cluster dumps cells done per worker and the
+// dispatch counters. Dispatches propagate the coordinator's request ID and
+// trace context, and worker spans are stitched back into one trace per
+// sweep — see /debug/traces, /debug/fleet and /debug/flight below.
 //
 // With -journal DIR the coordinator write-ahead-journals every completed
 // cell; a coordinator killed mid-sweep replays the journal on restart and
@@ -38,6 +40,7 @@
 // Endpoints:
 //
 //	POST /v1/sweep        {"design":"4B","kind":"homogeneous"}
+//	GET  /v1/sweep?stream=1&design=4B  the same sweep as Server-Sent Events: progress, then the result
 //	POST /v1/place        {"design":"4B","programs":["tonto","calculix"]}
 //	GET  /v1/figures/{id} e.g. /v1/figures/fig7
 //	POST /v1/jobsim       {"designs":["4B","20s"],"jobs":40}
@@ -232,7 +235,6 @@ func main() {
 		copts := cluster.Options{
 			Logger:        logger,
 			StoreCap:      *cellCap,
-			SweepCap:      *cacheCap,
 			AuditFraction: *auditFrac,
 		}
 		if *journalDir != "" {

@@ -18,7 +18,9 @@
 // the coordinator computes the remaining cells locally, so a sweep always
 // converges. The per-cell results feed study.AssembleSweep, the same
 // reassembly the local pool uses, which is why distributed tables are
-// bit-for-bit identical by construction.
+// bit-for-bit identical by construction — and why the assembled sweeps can
+// live in the coordinator's study's sweep cache (study.SweepDesignWith),
+// beside any the study computed itself.
 //
 // Failure semantics: a transport error or timeout counts against the
 // worker's circuit breaker and the cell is retried on another live worker;

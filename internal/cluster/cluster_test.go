@@ -135,9 +135,14 @@ func testOptions() Options {
 	return Options{Logger: quietLogger(), HedgeDelay: -1}
 }
 
+// newTestCoordinator builds a coordinator on a study of its own over the
+// shared profiles: the shared study's sweep cache holds localSweepJSON's
+// sweep, which a coordinator on it would answer without dispatching.
 func newTestCoordinator(t *testing.T, urls []string, opts Options) *Coordinator {
 	t.Helper()
-	c, err := NewCoordinator(sharedSim().Study(), urls, opts)
+	st := study.New(sharedSim().Source())
+	st.MixesPerCount = sharedSim().Study().MixesPerCount
+	c, err := NewCoordinator(st, urls, opts)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -273,7 +278,7 @@ func TestFleetStoreServesRepeatCells(t *testing.T) {
 	dispatchedAfterFirst := c.State().Dispatched
 	// Bypass the sweep-level cache to force a fresh decomposition; every
 	// cell must now be served by the fleet store.
-	sw, err := c.computeSweep(context.Background(), testDesign(), study.Heterogeneous, nil)
+	sw, err := c.computeSweep(context.Background(), testDesign(), study.Heterogeneous)
 	if err != nil {
 		t.Fatalf("second pass: %v", err)
 	}

@@ -30,9 +30,9 @@ type Options struct {
 	// negative disables hedging.
 	HedgeDelay time.Duration
 	// StoreCap bounds the fleet result store in cells, LRU-evicted
-	// (0 = unbounded). SweepCap does the same for assembled sweeps.
+	// (0 = unbounded). Assembled sweeps live in the study's sweep cache,
+	// which study.Study.BoundCaches bounds.
 	StoreCap int
-	SweepCap int
 	// Journal, when non-nil, is the write-ahead cell journal: every completed
 	// cell is recorded before the sweep finishes, and a restarted coordinator
 	// replays the journal into its result store so only the remainder is
@@ -104,8 +104,8 @@ func (w *workerState) alive() bool {
 // Coordinator is the fabric's control plane: it decomposes sweeps into
 // content-addressed cells, dispatches them across the worker fleet from one
 // shared cell list with hedged retries, and reassembles bit-identical tables.
-// It is safe for concurrent use; identical concurrent sweeps coalesce onto
-// one fleet computation.
+// It is safe for concurrent use; its sweeps live in its study's sweep cache,
+// where identical concurrent sweeps coalesce onto one computation.
 type Coordinator struct {
 	st      *study.Study
 	opts    Options
@@ -113,12 +113,9 @@ type Coordinator struct {
 	workers []*workerState
 
 	// store is the fleet-level content-addressed result store; hits skip
-	// dispatch entirely. Counters are tracked separately (storeHits/Misses)
-	// because lookups go through Cached, which the memo cache does not count.
-	store  memo.Cache[string, CellResponse]
-	sweeps memo.Cache[string, *study.Sweep]
+	// dispatch entirely.
+	store memo.Cache[string, CellResponse]
 
-	storeHits, storeMisses                        atomic.Int64
 	dispatched, retries, hedges, sheds, fallbacks atomic.Int64
 
 	// runs are the traced sweeps still computing: the in-progress half of
@@ -168,10 +165,6 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 	c.store.Name = "fleet"
 	if opts.StoreCap > 0 {
 		c.store.Bound(opts.StoreCap)
-	}
-	c.sweeps.Name = "fleet-sweeps"
-	if opts.SweepCap > 0 {
-		c.sweeps.Bound(opts.SweepCap)
 	}
 	if opts.Journal != nil {
 		if err := c.replayJournal(opts.Journal); err != nil {
@@ -254,20 +247,15 @@ func (c *Coordinator) Probe(ctx context.Context) {
 	wg.Wait()
 }
 
-// SweepDesign runs one design sweep through the fleet. The result is
-// bit-for-bit identical to study.Study.SweepDesign on the same engine
-// configuration: the cells are evaluated by the same per-mix code on the
-// workers and reassembled by the same study.AssembleSweep. Identical
-// concurrent calls coalesce; a context-carried progress hook
-// (study.WithProgress) fires per completed cell, like the local pool's.
+// SweepDesign runs one design sweep through the study's sweep cache, which
+// computes a miss through the fleet. The result is bit-for-bit identical to
+// study.Study.SweepDesign on the same engine configuration: the cells are
+// evaluated by the same per-mix code on the workers and reassembled by the
+// same study.AssembleSweep. Identical concurrent calls coalesce; a
+// context-carried progress hook (study.WithProgress) fires per completed
+// cell, like the local pool's.
 func (c *Coordinator) SweepDesign(ctx context.Context, d config.Design, k study.Kind) (*study.Sweep, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	prog := study.ProgressFrom(ctx)
-	return c.sweeps.GetCtx(ctx, c.st.SweepKey(d, k), func(cctx context.Context) (*study.Sweep, error) {
-		return c.computeSweep(cctx, d, k, prog)
-	})
+	return c.st.SweepDesignWith(ctx, d, k, c.computeSweep)
 }
 
 // cell is one dispatchable work unit of a sweep.
@@ -284,7 +272,8 @@ type cell struct {
 }
 
 // computeSweep decomposes, dispatches and reassembles one sweep.
-func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study.Kind, prog study.ProgressFunc) (_ *study.Sweep, err error) {
+func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study.Kind) (_ *study.Sweep, err error) {
+	prog := study.ProgressFrom(ctx)
 	ctx, sp := obs.StartSpan(ctx, "cluster.sweep")
 	var run *sweepRun
 	defer func() { c.endSweep(sp, run, err) }()
@@ -309,11 +298,9 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 			mix := mixes[n][mi]
 			key := memo.KeyHash(c.st.CellKey(d, k, n, mix))
 			if resp, ok := c.store.Cached(key); ok {
-				c.storeHits.Add(1)
 				results[n-1][mi] = fromWire(resp)
 				continue
 			}
-			c.storeMisses.Add(1)
 			cells = append(cells, &cell{
 				n: n, mi: mi, key: key, d: d, mix: mix,
 				req: CellRequest{
@@ -909,11 +896,12 @@ type State struct {
 
 // State snapshots the coordinator for the debug surface.
 func (c *Coordinator) State() State {
+	store := c.store.Counters()
 	st := State{
 		Role:         "coordinator",
-		StoreHits:    c.storeHits.Load(),
-		StoreMisses:  c.storeMisses.Load(),
-		StoreEntries: c.store.Len(),
+		StoreHits:    store.Hits,
+		StoreMisses:  store.Misses,
+		StoreEntries: store.Entries,
 		Dispatched:   c.dispatched.Load(),
 		Retries:      c.retries.Load(),
 		Hedges:       c.hedges.Load(),
@@ -988,17 +976,7 @@ func (c *Coordinator) DispatchStats() []DispatchStat {
 	return out
 }
 
-// CacheCounters exposes the fleet store and sweep cache counters for
-// /metrics. The store's hits/misses are the coordinator's own counters
-// (lookups bypass the memo counting path).
+// CacheCounters exposes the fleet store's counters for /metrics.
 func (c *Coordinator) CacheCounters() []memo.Counters {
-	return []memo.Counters{
-		{
-			Name:    "fleet",
-			Hits:    c.storeHits.Load(),
-			Misses:  c.storeMisses.Load(),
-			Entries: c.store.Len(),
-		},
-		c.sweeps.Counters(),
-	}
+	return []memo.Counters{c.store.Counters()}
 }

@@ -169,7 +169,6 @@ type threadCtx struct {
 	// replay is reader's concrete type when it replays a recording: the
 	// core then decodes each µop in place instead of calling the interface.
 	replay *trace.Replay
-	active bool
 	// seq is the number of µops dispatched.
 	seq uint64
 	// doneAt[i%depWindow] is the completion time of µop i. The extra last
@@ -214,7 +213,7 @@ type Core struct {
 	// robCap is each context's commit-window size, and part the ROB slots
 	// each context may fill: robPartition for out-of-order cores (at most
 	// robCap), robCap for in-order ones. part changes only when a context
-	// is attached or deactivated.
+	// is attached.
 	robCap, part int
 	// Functional-unit bandwidth watermarks, one per unit group. Contention
 	// is modelled as bandwidth in processing-order time rather than as
@@ -285,7 +284,6 @@ func (c *Core) AttachThread(r trace.Reader) (int, error) {
 	// the tables undertrained at SimPoint-scale run lengths.
 	t := &threadCtx{
 		reader:   r,
-		active:   true,
 		commitAt: make([]float64, c.robCap),
 		pred:     branch.NewBimodal(13),
 		btb:      branch.NewBTB(10),
@@ -300,18 +298,7 @@ func (c *Core) AttachThread(r trace.Reader) (int, error) {
 // NumThreads returns the number of attached threads.
 func (c *Core) NumThreads() int { return len(c.thread) }
 
-// activeThreads counts threads still running.
-func (c *Core) activeThreads() int {
-	n := 0
-	for _, t := range c.thread {
-		if t.active {
-			n++
-		}
-	}
-	return n
-}
-
-// repartition recomputes part after the set of active contexts changed.
+// repartition recomputes part after a context is attached.
 func (c *Core) repartition() {
 	c.part = c.robCap
 	if c.cfg.OutOfOrder {
@@ -321,11 +308,7 @@ func (c *Core) repartition() {
 
 // robPartition is the per-thread ROB share under static partitioning.
 func (c *Core) robPartition() int {
-	n := c.activeThreads()
-	if n == 0 {
-		n = 1
-	}
-	p := c.cfg.ROBSize / n
+	p := c.cfg.ROBSize / len(c.thread)
 	if p < c.cfg.Width {
 		p = c.cfg.Width
 	}
@@ -373,15 +356,6 @@ func (c *Core) ThreadStats(ti int) ThreadStats { return c.thread[ti].stats }
 // statistic the chip's run loop reads after every step, without copying
 // the rest of ThreadStats.
 func (c *Core) RetiredUops(ti int) uint64 { return c.thread[ti].stats.Uops }
-
-// ThreadDone reports whether the context was deactivated.
-func (c *Core) ThreadDone(ti int) bool { return !c.thread[ti].active }
-
-// Deactivate marks a context finished; its ROB share is redistributed.
-func (c *Core) Deactivate(ti int) {
-	c.thread[ti].active = false
-	c.repartition()
-}
 
 // bucketIssue charges one µop against a unit group's bandwidth watermark
 // and returns its issue time. The watermark never falls behind now (unused

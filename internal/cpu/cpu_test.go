@@ -296,19 +296,12 @@ func TestIdealFlagsMonotone(t *testing.T) {
 	}
 }
 
-func TestDeactivateRepartitions(t *testing.T) {
+func TestAttachRepartitions(t *testing.T) {
 	c := newBig(t, flatMem{}, true, Ideal{})
 	c.AttachThread(script(alu()))
 	c.AttachThread(script(alu()))
 	if got := c.robPartition(); got != 64 {
 		t.Fatalf("partition %d with 2 threads, want 64", got)
-	}
-	c.Deactivate(1)
-	if !c.ThreadDone(1) {
-		t.Fatal("thread not marked done")
-	}
-	if got := c.robPartition(); got != 128 {
-		t.Fatalf("partition %d after deactivation, want 128", got)
 	}
 }
 

@@ -150,22 +150,10 @@ func (c *Cache[K, V]) Bound(maxEntries int) {
 	c.evictLocked()
 }
 
-// Stats returns the cumulative hit and miss counts across Get and GetCtx.
-// A hit is a call that found an entry (completed or in flight); a miss is a
-// call that started a computation.
-func (c *Cache[K, V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Coalesced returns how many calls joined an in-flight computation for their
-// key instead of finding a completed entry — the subset of hits that the
-// singleflight machinery actually deduplicated.
-func (c *Cache[K, V]) Coalesced() int64 {
-	return c.coalesced.Load()
-}
-
 // Counters is a point-in-time snapshot of one cache's lookup counters, the
-// unit the daemon's per-cache /metrics series are built from.
+// unit the daemon's per-cache /metrics series are built from. Hits counts
+// lookups that found an entry, Misses those that did not, and Coalesced the
+// hits that joined an in-flight computation.
 type Counters struct {
 	Name                    string
 	Hits, Misses, Coalesced int64
@@ -352,24 +340,25 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Co
 	}
 }
 
-// Cached returns the completed value for key, if present. It does not wait
-// for an in-flight computation.
+// Cached returns the completed value for key, if present, counting a hit
+// when it is and a miss when it is not. It does not wait for an in-flight
+// computation.
 func (c *Cache[K, V]) Cached(key K) (V, bool) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	c.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return *new(V), false
+	if ok {
+		select {
+		case <-e.done:
+			if e.err == nil {
+				c.hits.Add(1)
+				return e.val, true
+			}
+		default:
 		}
-		return e.val, true
-	default:
-		return *new(V), false
 	}
+	c.misses.Add(1)
+	return *new(V), false
 }
 
 // Put stores a completed value for key, replacing any finished entry. It is

@@ -45,7 +45,7 @@ func TestCountersTrackHitsMissesCoalesced(t *testing.T) {
 	}
 	// The followers register as waiters (hits) before the compute finishes;
 	// busy-wait on the counter to know they have all arrived.
-	for c.Coalesced() < followers {
+	for c.Counters().Coalesced < followers {
 		runtime.Gosched()
 	}
 	close(release)

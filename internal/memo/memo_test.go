@@ -109,6 +109,10 @@ func TestCached(t *testing.T) {
 	if !ok || v != 5 {
 		t.Fatalf("Cached = %d, %t", v, ok)
 	}
+	// One miss each for the empty lookup and Get's compute, one hit.
+	if got := c.Counters(); got.Hits != 1 || got.Misses != 2 {
+		t.Fatalf("Counters() = %+v, want 1 hit and 2 misses", got)
+	}
 }
 
 func TestGetCtxCoalesces(t *testing.T) {
@@ -138,9 +142,8 @@ func TestGetCtxCoalesces(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != goroutines-1 {
-		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
+	if got := c.Counters(); got.Misses != 1 || got.Hits != goroutines-1 {
+		t.Fatalf("hits=%d misses=%d, want %d/1", got.Hits, got.Misses, goroutines-1)
 	}
 }
 
@@ -212,7 +215,7 @@ func TestGetCtxSurvivingWaiterKeepsCompute(t *testing.T) {
 	}()
 	// Let the second waiter join, then abandon it.
 	for {
-		if h, _ := c.Stats(); h > 0 {
+		if c.Counters().Hits > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -15,7 +15,7 @@ type SweepRequest struct {
 	// Kind is "homogeneous" (default) or "heterogeneous".
 	Kind string `json:"kind,omitempty"`
 	// BandwidthGBps overrides off-chip memory bandwidth; 0 keeps the
-	// design's default (8 GB/s).
+	// design's default (8 GB/s), and a negative value is refused.
 	BandwidthGBps float64 `json:"bandwidth_gbps,omitempty"`
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -170,6 +172,42 @@ func TestChaos(t *testing.T) {
 		faults.Reset()
 		if code, body, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"4B"}`); code != http.StatusOK {
 			t.Fatalf("daemon did not recover from handler panic: code=%d body=%s", code, body)
+		}
+		assertHealthy(t, ts.URL)
+	})
+
+	t.Run("handler error fails the stream before it begins", func(t *testing.T) {
+		assertHealthy(t, ts.URL)
+		const kindMetric = `smtflexd_engine_failures_total{kind="injected"}`
+		const stream = "/v1/sweep?stream=1&design=4B"
+		before := metricValue(t, ts.URL, kindMetric)
+		faults.Enable(faults.SiteHandler, one)
+		resp, err := http.Get(ts.URL + stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Content-Type") != "application/json" ||
+			!strings.Contains(string(body), "injected") {
+			t.Fatalf("injected handler error on the stream: code=%d Content-Type=%q body=%s, want a JSON 500",
+				resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		}
+		if after := metricValue(t, ts.URL, kindMetric); after != before+1 {
+			t.Fatalf("%s went %g -> %g, want +1", kindMetric, before, after)
+		}
+		faults.Reset()
+		resp, err = http.Get(ts.URL + stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := readSSE(t, bufio.NewScanner(resp.Body))
+		resp.Body.Close()
+		if len(events) == 0 || events[len(events)-1].event != "result" {
+			t.Fatalf("stream after disarm: events %+v, want a final result", events)
 		}
 		assertHealthy(t, ts.URL)
 	})

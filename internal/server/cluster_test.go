@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"smtflex/internal/cluster"
 	"smtflex/internal/config"
+	"smtflex/internal/core"
 	"smtflex/internal/memo"
 	"smtflex/internal/study"
 	"smtflex/internal/workload"
@@ -36,6 +38,23 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	if len(seen) < 2 {
 		t.Errorf("retryAfter() produced a single value over 1000 draws; want jitter")
 	}
+}
+
+// coordinatorSim is a fresh engine loaded with the shared engine's
+// profiles, for a coordinator daemon (its Config.Sim and its study): the
+// shared engine's sweep cache holds what other tests swept, which a
+// coordinator on it would answer without dispatching.
+func coordinatorSim(t *testing.T) *core.Simulator {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sharedSim().Source().SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sim := core.NewSimulator(testSimOpts()...)
+	if _, err := sim.Source().LoadJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return sim
 }
 
 // mcfCell is the JSON cell request for n copies of mcf on 4B under the
@@ -139,7 +158,7 @@ func TestWorkerRejectsMalformedCells(t *testing.T) {
 
 	// The coordinator resolves designs the worker does not know (the
 	// Section 8.1 alternatives), so every cell of this sweep draws a 400.
-	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
+	coord, err := cluster.NewCoordinator(coordinatorSim(t).Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -158,11 +177,12 @@ func TestWorkerRejectsMalformedCells(t *testing.T) {
 // surfaces: healthz worker liveness, /debug/cluster, fleet metrics.
 func TestCoordinatorRoleFansOut(t *testing.T) {
 	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
-	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
+	csim := coordinatorSim(t)
+	coord, err := cluster.NewCoordinator(csim.Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	_, coordTS := newTestServer(t, Config{Coordinator: coord})
+	_, coordTS := newTestServer(t, Config{Sim: csim, Coordinator: coord})
 	_, soloTS := newTestServer(t, Config{})
 
 	const body = `{"design":"4B","kind":"heterogeneous"}`
@@ -188,6 +208,55 @@ func TestCoordinatorRoleFansOut(t *testing.T) {
 		!strings.Contains(string(mb), "smtflexd_cluster_dispatched_total") ||
 		!strings.Contains(string(mb), `smtflexd_memo_hits_total{cache="fleet"}`) {
 		t.Errorf("/metrics missing fleet series (code=%d)", code)
+	}
+}
+
+// TestCoordinatorSweepsLiveInItsStudy: a coordinator keeps its sweeps in
+// its study's sweep cache. A sweep the study already holds is answered with
+// no dispatch and the solo daemon's bytes, and a sweep the fleet computed
+// costs the study no evaluation.
+func TestCoordinatorSweepsLiveInItsStudy(t *testing.T) {
+	ctx := context.Background()
+	const held = `{"design":"4B","kind":"heterogeneous"}`
+	_, soloTS := newTestServer(t, Config{})
+	codeS, gotS, _ := postJSON(t, soloTS.URL+"/v1/sweep", held)
+
+	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
+	csim := coordinatorSim(t)
+	coord, err := cluster.NewCoordinator(csim.Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	_, coordTS := newTestServer(t, Config{Sim: csim, Coordinator: coord})
+
+	d4B, _ := config.DesignByName("4B", true)
+	if _, err := csim.Study().SweepDesign(ctx, d4B, study.Heterogeneous); err != nil {
+		t.Fatalf("local sweep: %v", err)
+	}
+	codeC, gotC, _ := postJSON(t, coordTS.URL+"/v1/sweep", held)
+	if codeC != http.StatusOK || codeS != http.StatusOK {
+		t.Fatalf("sweep: coordinator=%d solo=%d", codeC, codeS)
+	}
+	if string(gotC) != string(gotS) {
+		t.Error("coordinator's answer from its study differs from the solo daemon's")
+	}
+	if n := coord.State().Dispatched; n != 0 {
+		t.Errorf("sweep the study held: %d dispatches, want 0", n)
+	}
+
+	if code, body, _ := postJSON(t, coordTS.URL+"/v1/sweep", `{"design":"8m","kind":"heterogeneous"}`); code != http.StatusOK {
+		t.Fatalf("fleet sweep: code=%d body=%s", code, body)
+	}
+	if coord.State().Dispatched == 0 {
+		t.Fatal("fleet sweep dispatched nothing")
+	}
+	evals := csim.Study().Evaluations()
+	d8m, _ := config.DesignByName("8m", true)
+	if _, err := csim.Study().SweepDesign(ctx, d8m, study.Heterogeneous); err != nil {
+		t.Fatalf("study sweep after the fleet's: %v", err)
+	}
+	if n := csim.Study().Evaluations() - evals; n != 0 {
+		t.Errorf("sweep the fleet computed cost the study %d evaluations, want 0", n)
 	}
 }
 

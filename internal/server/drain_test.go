@@ -10,9 +10,9 @@ import (
 
 // TestDrainRefusesNewWork pins the graceful-drain contract: after
 // BeginDrain, new engine-backed requests — including a coordinator's cell
-// dispatches — get 503 with the cluster draining header (so a coordinator
-// reroutes instead of burning its shed budget), /healthz turns 503
-// "draining", and the drain surfaces on /metrics.
+// dispatches and the sweep stream — get 503 with the cluster draining
+// header (so a coordinator reroutes instead of burning its shed budget),
+// /healthz turns 503 "draining", and the drain surfaces on /metrics.
 func TestDrainRefusesNewWork(t *testing.T) {
 	wk := cluster.NewWorker(sharedSim().Study(), 0)
 	s, ts := newTestServer(t, Config{ClusterWorker: wk})
@@ -43,6 +43,21 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if code, _, hdr := postJSON(t, ts.URL+"/v1/sweep", `{"design":"4B"}`); code != http.StatusServiceUnavailable || hdr.Get(cluster.DrainingHeader) == "" {
 		t.Errorf("draining sweep: code=%d draining-header=%q, want 503 with header", code, hdr.Get(cluster.DrainingHeader))
 	}
+	// So is the live-progress stream, before it evaluates anything: its
+	// design is one no other test sweeps.
+	evals := sharedSim().Study().Evaluations()
+	resp, err := http.Get(ts.URL + "/v1/sweep?stream=1&design=1B15s&kind=heterogeneous")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(cluster.DrainingHeader) == "" || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("draining stream: code=%d draining-header=%q retry-after=%q, want 503 with both",
+			resp.StatusCode, resp.Header.Get(cluster.DrainingHeader), resp.Header.Get("Retry-After"))
+	}
+	if got := sharedSim().Study().Evaluations(); got != evals {
+		t.Errorf("draining stream ran %d evaluations, want 0", got-evals)
+	}
 
 	// Healthz flips so load balancers and coordinator probes steer away.
 	code, hb := getJSON(t, ts.URL+"/healthz")
@@ -58,8 +73,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if !strings.Contains(string(mb), "smtflexd_draining 1") {
 		t.Error("metrics missing smtflexd_draining 1")
 	}
-	if !strings.Contains(string(mb), "smtflexd_drained_total 2") {
-		t.Error("metrics missing smtflexd_drained_total 2")
+	if !strings.Contains(string(mb), "smtflexd_drained_total 3") {
+		t.Error("metrics missing smtflexd_drained_total 3")
 	}
 	if s.Inflight() != 0 {
 		t.Errorf("Inflight() = %d with no requests executing, want 0", s.Inflight())

@@ -17,11 +17,12 @@ func newTestFleet(t *testing.T, extraWorkers ...string) *httptest.Server {
 	t.Helper()
 	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
 	urls := append([]string{workerTS.URL}, extraWorkers...)
-	coord, err := cluster.NewCoordinator(sharedSim().Study(), urls, cluster.Options{Logger: quietLogger()})
+	csim := coordinatorSim(t)
+	coord, err := cluster.NewCoordinator(csim.Study(), urls, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	_, coordTS := newTestServer(t, Config{Coordinator: coord})
+	_, coordTS := newTestServer(t, Config{Sim: csim, Coordinator: coord})
 	return coordTS
 }
 

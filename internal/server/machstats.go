@@ -1,23 +1,21 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"time"
+	"sync/atomic"
 
-	"smtflex/internal/config"
 	"smtflex/internal/interval"
 	"smtflex/internal/machstats"
-	"smtflex/internal/obs"
 	"smtflex/internal/study"
 )
 
 // The machine-stats surfaces: optional ?machstats=1 CPI-stack attachments on
 // /v1/sweep and /v1/place, the GET /debug/machstats registry dump, and the
-// GET /v1/sweep?stream=1 live-progress stream (Server-Sent Events) fed by
-// the experiment pool's progress hook.
+// reply that turns GET /v1/sweep?stream=1 into a live-progress stream
+// (Server-Sent Events) fed by the experiment pool's progress hook.
 
 // wantMachStats reports whether the request asked for the CPI-stack
 // attachment.
@@ -89,9 +87,6 @@ func (s *Server) handleMachStats(w http.ResponseWriter, r *http.Request) {
 
 // --- live sweep progress (SSE) ---
 
-// sweepStreamRoute labels the stream variant in metrics and logs.
-const sweepStreamRoute = "/v1/sweep/stream"
-
 // progressEvent is the data payload of one SSE progress event.
 type progressEvent struct {
 	Done  int `json:"done"`
@@ -108,161 +103,97 @@ func writeSSE(w http.ResponseWriter, f http.Flusher, event string, data any) {
 	f.Flush()
 }
 
-// handleSweepStream serves GET /v1/sweep?stream=1: the same sweep as the
-// POST endpoint, but with live progress. The response is a Server-Sent
-// Events stream of "progress" events ({"done":k,"total":n} pool tasks),
-// terminated by one "result" event carrying the full SweepResponse, or one
-// "error" event. The sweep parameters arrive as query parameters (design,
-// kind, smt, bandwidth_gbps, machstats) since a GET carries no body.
-//
-// The handler cannot ride the shared endpoint() wrapper — that wrapper
-// serializes exactly one JSON document after the handler returns, while SSE
-// interleaves writes with computation — so it performs its own admission
-// acquire/release, deadline, metrics and logging. Cache hits and coalesced
-// sweeps produce no progress events (nothing is computed); the result event
+// reply is how endpoint answers one request: with one JSON document, or,
+// once the handler has begun a Server-Sent Events stream, with "progress"
+// events ({"done":k,"total":n} pool tasks) and one terminal "result" or
+// "error" event in place of the document. Cache hits and coalesced sweeps
+// produce no progress events (nothing is computed); the terminal event
 // still arrives.
-func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rid := resolveRequestID(r)
-	w.Header().Set(requestIDHeader, rid)
+//
+// Progress arrives on pool workers, which must never block, and may arrive
+// after the handler has returned: a compute that coalesced waiters keep
+// alive keeps calling its leader's hook. So the hook only raises an atomic
+// high-water mark and nudges a one-slot channel, and one writer goroutine,
+// the response's only writer until send stops it, turns the mark into
+// events. Counts the writer misses are dropped; a later one carries more.
+type reply struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // non-nil once the stream has begun
 
-	fail := func(code int, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		writeJSON(w, code, ErrorResponse{Error: msg})
-		s.met.observe(sweepStreamRoute, code, time.Since(start))
-		s.log.Warn("request", "method", r.Method, "route", sweepStreamRoute, "path", r.URL.Path,
-			"rid", rid, "code", code, "err", msg)
-	}
+	done, total   atomic.Int64  // progress high-water mark
+	nudge         chan struct{} // one slot: wakes the writer
+	stop, stopped chan struct{}
+}
 
-	q := r.URL.Query()
-	if q.Get("stream") != "1" {
-		fail(http.StatusBadRequest, "GET /v1/sweep requires ?stream=1 (use POST for a plain sweep)")
-		return
-	}
-	design := q.Get("design")
-	if design == "" {
-		fail(http.StatusBadRequest, "missing design")
-		return
-	}
-	kind, err := study.ParseKind(q.Get("kind"))
-	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
-		return
-	}
-	smt := true
-	if raw := q.Get("smt"); raw == "0" || raw == "false" {
-		smt = false
-	}
-	d, err := config.DesignByName(design, smt)
-	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
-		return
-	}
-	if raw := q.Get("bandwidth_gbps"); raw != "" {
-		var bw float64
-		if _, err := fmt.Sscanf(raw, "%g", &bw); err != nil || bw <= 0 {
-			fail(http.StatusBadRequest, "invalid bandwidth_gbps %q", raw)
-			return
-		}
-		d = d.WithBandwidth(bw)
-	}
-	flusher, ok := w.(http.Flusher)
+// replyKey keys the request's *reply in its handler's context.
+type replyKey struct{}
+
+// stream begins the event stream: 200 text/event-stream now, then one
+// progress event whenever the returned hook has raised the mark.
+func (rp *reply) stream() (study.ProgressFunc, error) {
+	f, ok := rp.w.(http.Flusher)
 	if !ok {
-		fail(http.StatusInternalServerError, "streaming unsupported by connection")
-		return
+		return nil, errors.New("streaming unsupported by connection")
 	}
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
-		return
-	}
+	h := rp.w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	rp.w.WriteHeader(http.StatusOK)
+	f.Flush()
+	rp.flusher = f
+	rp.nudge = make(chan struct{}, 1)
+	rp.stop, rp.stopped = make(chan struct{}), make(chan struct{})
+	go rp.writeProgress()
+	return rp.progress, nil
+}
 
-	rctx := obs.WithRequestID(r.Context(), rid)
-	if err := s.adm.acquire(rctx); err != nil {
-		code := statusClientClosed
-		if err == errQueueFull {
-			s.met.reject()
-			w.Header().Set("Retry-After", retryAfter())
-			code = http.StatusServiceUnavailable
-		}
-		fail(code, "admission queue full, retry later")
-		return
-	}
-	defer s.adm.release()
-	// Traced like endpoint() routes, so a coordinator's streamed sweep has a flight record.
-	tctx, root := obs.StartTrace(rctx, s.col, sweepStreamRoute)
-	defer root.End()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ctx, cancel := context.WithTimeout(tctx, timeout)
-	defer cancel()
-
-	// The pool's progress hook runs on worker goroutines; the HTTP response
-	// writer is not concurrency-safe, so events funnel through a channel the
-	// handler goroutine drains. A full channel drops the oldest granularity —
-	// later counts carry strictly more information. Workers take their
-	// counts in order but may send them out of order, so the handler writes
-	// only counts above the last one written, keeping the stream monotone.
-	progCh := make(chan progressEvent, 64)
-	sctx := study.WithProgress(ctx, func(done, total int) {
-		select {
-		case progCh <- progressEvent{Done: done, Total: total}:
-		default:
-		}
-	})
-	type outcome struct {
-		sw  *study.Sweep
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		sw, err := s.sweepDesign(sctx, d, kind)
-		resCh <- outcome{sw, err}
-	}()
-
-	lastDone := 0
-	progress := func(ev progressEvent) {
-		if ev.Done > lastDone {
-			lastDone = ev.Done
-			writeSSE(w, flusher, "progress", ev)
-		}
-	}
-	code := http.StatusOK
+// progress raises the mark to done and nudges the writer. It never blocks
+// and never touches the ResponseWriter.
+func (rp *reply) progress(done, total int) {
+	rp.total.Store(int64(total))
 	for {
-		select {
-		case ev := <-progCh:
-			progress(ev)
-		case out := <-resCh:
-			// Drain progress queued behind the result so the stream never
-			// ends on a stale count.
-			for {
-				select {
-				case ev := <-progCh:
-					progress(ev)
-					continue
-				default:
-				}
-				break
-			}
-			if out.err != nil {
-				code = statusOf(out.err)
-				if kind := failureKind(out.err); kind != "" {
-					s.met.failure(kind)
-				}
-				writeSSE(w, flusher, "error", ErrorResponse{Error: out.err.Error()})
-			} else {
-				resp := s.sweepResponse(d, kind, out.sw, wantMachStats(r))
-				writeSSE(w, flusher, "result", resp)
-			}
-			dur := time.Since(start)
-			s.met.observe(sweepStreamRoute, code, dur)
-			s.log.Info("request", "method", r.Method, "route", sweepStreamRoute,
-				"path", r.URL.Path, "rid", rid, "code", code, "dur_ms", dur.Milliseconds())
-			return
+		cur := rp.done.Load()
+		if int64(done) <= cur || rp.done.CompareAndSwap(cur, int64(done)) {
+			break
 		}
 	}
+	select {
+	case rp.nudge <- struct{}{}:
+	default:
+	}
+}
+
+// writeProgress writes the mark whenever it has risen, so done counts
+// strictly increase, and once more when send stops it, so the terminal
+// event follows the last count.
+func (rp *reply) writeProgress() {
+	defer close(rp.stopped)
+	var written int64
+	for stopping := false; !stopping; {
+		select {
+		case <-rp.nudge:
+		case <-rp.stop:
+			stopping = true
+		}
+		if done := rp.done.Load(); done > written {
+			written = done
+			writeSSE(rp.w, rp.flusher, "progress", progressEvent{Done: int(done), Total: int(rp.total.Load())})
+		}
+	}
+}
+
+// send writes the handler's outcome: a JSON document with its status, or,
+// once the stream has begun, the terminal event after the writer stops.
+func (rp *reply) send(code int, v any) {
+	if rp.flusher == nil {
+		writeJSON(rp.w, code, v)
+		return
+	}
+	close(rp.stop)
+	<-rp.stopped
+	event := "result"
+	if code != http.StatusOK {
+		event = "error"
+	}
+	writeSSE(rp.w, rp.flusher, event, v)
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"smtflex/internal/machstats"
@@ -225,15 +227,71 @@ func TestSweepStream(t *testing.T) {
 		t.Fatal("cold sweep emitted no progress events")
 	}
 
-	// Parameter validation.
+	// Parameter validation: the query is parsed as strictly as a POST body.
 	for _, url := range []string{
 		"/v1/sweep?design=1B6m",          // missing stream=1
 		"/v1/sweep?stream=1",             // missing design
 		"/v1/sweep?stream=1&design=nope", // unknown design
 		"/v1/sweep?stream=1&design=1B6m&kind=bogus",
+		"/v1/sweep?stream=1&design=1B6m&kind=heterogeneous&smt=no",
+		"/v1/sweep?stream=1&design=1B6m&kind=heterogeneous&bandwidth_gbps=8x",
+		"/v1/sweep?stream=1&design=1B6m&kind=heterogeneous&bandwidth_gbps=-1",
 	} {
 		if code, raw := getJSON(t, ts.URL+url); code != http.StatusBadRequest {
 			t.Errorf("GET %s: code %d, want 400: %s", url, code, raw)
 		}
+	}
+	if code, raw, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"1B6m","kind":"heterogeneous","bandwidth_gbps":-1}`); code != http.StatusBadRequest {
+		t.Errorf("POST with negative bandwidth: code %d, want 400: %s", code, raw)
+	}
+}
+
+// TestStreamWriter pins the stream's one writer: hooks called from several
+// goroutines at once give strictly increasing done counts that end at the
+// highest count, then the terminal event, and a hook called after the
+// terminal event, as a compute kept alive by coalesced waiters may call it,
+// writes nothing.
+func TestStreamWriter(t *testing.T) {
+	rec := httptest.NewRecorder()
+	rp := &reply{w: rec}
+	prog, err := rp.stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hooks, total = 4, 400
+	var wg sync.WaitGroup
+	for g := 1; g <= hooks; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := g; done <= total; done += hooks {
+				prog(done, total)
+			}
+		}()
+	}
+	wg.Wait()
+	rp.send(http.StatusOK, SweepResponse{Design: "4B"})
+	body := rec.Body.String()
+	prog(total+1, total+1)
+	if rec.Body.String() != body {
+		t.Fatal("a progress call after the terminal event wrote to the response")
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("stream: code %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	events := readSSE(t, bufio.NewScanner(strings.NewReader(body)))
+	if len(events) < 2 || events[len(events)-1].event != "result" {
+		t.Fatalf("events %+v, want progress then one result", events)
+	}
+	prevDone := 0
+	for _, ev := range events[:len(events)-1] {
+		var p progressEvent
+		if ev.event != "progress" || json.Unmarshal([]byte(ev.data), &p) != nil || p.Done <= prevDone || p.Total != total {
+			t.Fatalf("event %+v after done=%d, want progress with a higher count of %d", ev, prevDone, total)
+		}
+		prevDone = p.Done
+	}
+	if prevDone != total {
+		t.Fatalf("last progress count %d, want %d before the terminal event", prevDone, total)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -171,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.Handle("POST /v1/sweep", s.endpoint("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("GET /v1/sweep", s.handleSweepStream)
+	s.mux.Handle("GET /v1/sweep", s.endpoint("/v1/sweep/stream", s.handleSweep))
 	s.mux.Handle("POST /v1/place", s.endpoint("/v1/place", s.handlePlace))
 	s.mux.Handle("GET /v1/figures/{id}", s.endpoint("/v1/figures", s.handleFigure))
 	s.mux.Handle("POST /v1/jobsim", s.endpoint("/v1/jobsim", s.handleJobsim))
@@ -304,10 +305,12 @@ func resolveRequestID(r *http.Request) string {
 
 // endpoint wraps a handler with request identity, tracing, admission
 // control, the per-request deadline, metrics and logging — the shared spine
-// of every engine-backed route.
+// of every engine-backed route. A handler that streams its response finds
+// the request's reply in its context.
 func (s *Server) endpoint(route string, fn handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		rp := &reply{w: w}
 		rid := resolveRequestID(r)
 		w.Header().Set(requestIDHeader, rid)
 		rctx := obs.WithRequestID(r.Context(), rid)
@@ -333,13 +336,13 @@ func (s *Server) endpoint(route string, fn handlerFunc) http.Handler {
 			w.Header().Set("Retry-After", retryAfter())
 			w.Header().Set(cluster.DrainingHeader, "1")
 			err := &httpError{http.StatusServiceUnavailable, "draining for shutdown"}
-			s.finish(w, r, tctx, root, rid, route, start, 0, nil, err)
+			s.finish(rp, r, tctx, root, rid, route, start, 0, nil, err)
 			return
 		}
 
 		timeout, err := s.requestTimeout(r)
 		if err != nil {
-			s.finish(w, r, tctx, root, rid, route, start, 0, nil, err)
+			s.finish(rp, r, tctx, root, rid, route, start, 0, nil, err)
 			return
 		}
 		_, qs := obs.StartSpan(tctx, "queue.wait")
@@ -351,16 +354,16 @@ func (s *Server) endpoint(route string, fn handlerFunc) http.Handler {
 				w.Header().Set("Retry-After", retryAfter())
 				err = &httpError{http.StatusServiceUnavailable, "admission queue full, retry later"}
 			}
-			s.finish(w, r, tctx, root, rid, route, start, 0, nil, err)
+			s.finish(rp, r, tctx, root, rid, route, start, 0, nil, err)
 			return
 		}
 		defer s.adm.release()
 		wait := time.Since(start)
 
-		ctx, cancel := context.WithTimeout(tctx, timeout)
+		ctx, cancel := context.WithTimeout(context.WithValue(tctx, replyKey{}, rp), timeout)
 		defer cancel()
 		res, err := s.safely(ctx, fn, r)
-		s.finish(w, r, tctx, root, rid, route, start, wait, res, err)
+		s.finish(rp, r, tctx, root, rid, route, start, wait, res, err)
 	})
 }
 
@@ -403,7 +406,7 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 // finish serializes the response (or error) under an "http.serialize" span,
 // ends the request's root span, and records metrics and the request log
 // line (every line carries the request ID).
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, ctx context.Context, root *obs.Span, rid, route string, start time.Time, wait time.Duration, res any, err error) {
+func (s *Server) finish(rp *reply, r *http.Request, ctx context.Context, root *obs.Span, rid, route string, start time.Time, wait time.Duration, res any, err error) {
 	code := http.StatusOK
 	_, ser := obs.StartSpan(ctx, "http.serialize")
 	if err != nil {
@@ -411,10 +414,9 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, ctx context.Cont
 		if kind := failureKind(err); kind != "" {
 			s.met.failure(kind)
 		}
-		writeJSON(w, code, ErrorResponse{Error: err.Error()})
-	} else {
-		writeJSON(w, code, res)
+		res = ErrorResponse{Error: err.Error()}
 	}
+	rp.send(code, res)
 	ser.End()
 	root.SetAttr("code", code)
 	if err != nil {
@@ -566,13 +568,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.met.write(w, samples, hists)
 }
 
+// handleSweep serves both forms of a sweep: POST /v1/sweep answers with one
+// JSON document, and GET /v1/sweep?stream=1 with a live-progress stream
+// (see reply) whose result event carries the same document.
 func (s *Server) handleSweep(ctx context.Context, r *http.Request) (any, error) {
-	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	req, err := readSweepRequest(r)
+	if err != nil {
 		return nil, err
 	}
 	if req.Design == "" {
 		return nil, badRequest("missing design")
+	}
+	if req.BandwidthGBps < 0 {
+		return nil, badRequest("negative bandwidth_gbps %g", req.BandwidthGBps)
 	}
 	kind, err := study.ParseKind(req.Kind)
 	if err != nil {
@@ -585,6 +593,14 @@ func (s *Server) handleSweep(ctx context.Context, r *http.Request) (any, error) 
 	if req.BandwidthGBps > 0 {
 		d = d.WithBandwidth(req.BandwidthGBps)
 	}
+	if r.Method == http.MethodGet {
+		// Begun only now, so bad input keeps its JSON 400.
+		prog, err := ctx.Value(replyKey{}).(*reply).stream()
+		if err != nil {
+			return nil, err
+		}
+		ctx = study.WithProgress(ctx, prog)
+	}
 	sw, err := s.sweepDesign(ctx, d, kind)
 	if err != nil {
 		return nil, err
@@ -592,9 +608,37 @@ func (s *Server) handleSweep(ctx context.Context, r *http.Request) (any, error) 
 	return s.sweepResponse(d, kind, sw, wantMachStats(r)), nil
 }
 
+// readSweepRequest reads a sweep request in either form: the strict JSON
+// body of a POST, or the query of a GET, which must carry stream=1.
+func readSweepRequest(r *http.Request) (SweepRequest, error) {
+	var req SweepRequest
+	if r.Method == http.MethodPost {
+		return req, decodeJSON(r, &req)
+	}
+	q := r.URL.Query()
+	if q.Get("stream") != "1" {
+		return req, badRequest("GET /v1/sweep requires ?stream=1 (use POST for a plain sweep)")
+	}
+	req.Design, req.Kind = q.Get("design"), q.Get("kind")
+	if raw := q.Get("smt"); raw != "" {
+		smt, err := strconv.ParseBool(raw)
+		if err != nil {
+			return req, badRequest("invalid smt %q", raw)
+		}
+		req.SMT = &smt
+	}
+	if raw := q.Get("bandwidth_gbps"); raw != "" {
+		bw, err := strconv.ParseFloat(raw, 64)
+		if err != nil || !(bw > 0) || math.IsInf(bw, 1) {
+			return req, badRequest("invalid bandwidth_gbps %q", raw)
+		}
+		req.BandwidthGBps = bw
+	}
+	return req, nil
+}
+
 // sweepResponse converts an engine sweep into its wire form, optionally
-// attaching the CPI-stack detail. Shared by the POST endpoint and the SSE
-// stream's result event.
+// attaching the CPI-stack detail.
 func (s *Server) sweepResponse(d config.Design, kind study.Kind, sw *study.Sweep, withMach bool) SweepResponse {
 	resp := SweepResponse{
 		Design:   d.Name,

@@ -132,6 +132,6 @@ func AssembleSweep(d config.Design, k Kind, mixes [][]workload.Mix, results [][]
 	return sw, nil
 }
 
-// SweepKey exposes the sweep's cache key for layers that coalesce whole
-// sweeps outside this package (the cluster coordinator's sweep cache).
+// SweepKey exposes the sweep's cache key, from which the cluster
+// coordinator derives the sweep ID its flight records carry.
 func (s *Study) SweepKey(d config.Design, k Kind) string { return s.sweepKey(d, k) }

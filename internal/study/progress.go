@@ -32,7 +32,8 @@ func progressFrom(ctx context.Context) ProgressFunc {
 	return fn
 }
 
-// ProgressFrom exposes the context-carried progress hook to layers that run
-// sweep cells outside this package's pool (the cluster coordinator), so a
-// distributed sweep feeds the same live-progress surfaces as a local one.
+// ProgressFrom exposes the context-carried progress hook to a compute that
+// SweepDesignWith runs outside this package's pool (the cluster
+// coordinator's), so a distributed sweep feeds the same live-progress
+// surfaces as a local one.
 func ProgressFrom(ctx context.Context) ProgressFunc { return progressFrom(ctx) }

@@ -57,11 +57,11 @@ func TestAblationSMTEfficiencyReusesFigure8(t *testing.T) {
 	if _, err := s.Figure8(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, before := s.sweeps.Stats()
+	before := s.sweeps.Counters().Misses
 	if _, err := s.AblationSMTEfficiency(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, after := s.sweeps.Stats(); after-before != 24 {
+	if after := s.sweeps.Counters().Misses; after-before != 24 {
 		t.Errorf("AblationSMTEfficiency after Figure8: %d sweep misses, want 24", after-before)
 	}
 }

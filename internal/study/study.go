@@ -123,22 +123,6 @@ type Study struct {
 // cancellation tests.
 func (s *Study) Evaluations() int64 { return s.evals.Load() }
 
-// CacheStats reports the size and hit rates of the study's caches, for the
-// server's observability surface.
-type CacheStats struct {
-	SoloEntries, SweepEntries int
-	SoloHits, SoloMisses      int64
-	SweepHits, SweepMisses    int64
-}
-
-// CacheStats returns a snapshot of the solo-rate and sweep cache counters.
-func (s *Study) CacheStats() CacheStats {
-	st := CacheStats{SoloEntries: s.solo.Len(), SweepEntries: s.sweeps.Len()}
-	st.SoloHits, st.SoloMisses = s.solo.Stats()
-	st.SweepHits, st.SweepMisses = s.sweeps.Stats()
-	return st
-}
-
 // BoundCaches caps the sweep cache at maxSweeps entries with LRU eviction,
 // for long-running servers whose request history would otherwise grow the
 // cache without limit. The solo-rate and profile caches are intrinsically
@@ -373,6 +357,16 @@ func (s *Study) mixesAt(k Kind, n int) []workload.Mix {
 // pool and assembles the result in index order, so the sweep is bit-for-bit
 // identical to the serial engine's.
 func (s *Study) SweepDesign(ctx context.Context, d config.Design, k Kind) (*Sweep, error) {
+	return s.SweepDesignWith(ctx, d, k, s.computeSweep)
+}
+
+// SweepDesignWith is SweepDesign with the computation behind a miss supplied
+// by the caller, so every sweep a process holds lives in this one cache,
+// however it was computed: the cluster coordinator passes its fleet
+// dispatch. compute must give SweepDesign's bits (feed EvaluateMixCtx
+// results to AssembleSweep), and finds the leader's progress hook in its
+// context. Coalesced callers share whichever compute the leader supplied.
+func (s *Study) SweepDesignWith(ctx context.Context, d config.Design, k Kind, compute func(context.Context, config.Design, Kind) (*Sweep, error)) (*Sweep, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -383,7 +377,7 @@ func (s *Study) SweepDesign(ctx context.Context, d config.Design, k Kind) (*Swee
 	prog := progressFrom(ctx)
 	return s.sweeps.GetCtx(ctx, s.sweepKey(d, k), func(cctx context.Context) (*Sweep, error) {
 		s.sweepComputes.Add(1)
-		return s.computeSweep(WithProgress(cctx, prog), d, k)
+		return compute(WithProgress(cctx, prog), d, k)
 	})
 }
 
