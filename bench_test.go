@@ -373,21 +373,25 @@ func BenchmarkIntervalEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileMeasurement measures the one-time cost of characterizing
-// one benchmark on one core type (cycle-engine idealization runs + curves).
-func BenchmarkProfileMeasurement(b *testing.B) {
+// BenchmarkProfileCoreTypes measures the one-time cost of characterizing
+// one benchmark: its big, medium and small profiles from a fresh source, the
+// unit the profiler measures in (one curve pass, then the cycle-engine
+// idealization runs of all three core types).
+func BenchmarkProfileCoreTypes(b *testing.B) {
 	spec, err := workload.ByName("bzip2")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		src := profiler.NewSource(60_000) // fresh cache every iteration
-		p, err := src.Profile(spec, config.Medium)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.DataAPKU <= 0 {
-			b.Fatal("bad profile")
+		for ct := config.CoreType(0); ct < config.NumCoreTypes; ct++ {
+			p, err := src.Profile(spec, ct)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if p.DataAPKU <= 0 {
+				b.Fatal("bad profile")
+			}
 		}
 	}
 }

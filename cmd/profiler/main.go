@@ -33,7 +33,7 @@ func fail(code int, format string, args ...any) {
 
 func main() {
 	bench := flag.String("bench", "all", "benchmark name or 'all'")
-	coreType := flag.String("core", "all", "core type: big, medium, small or 'all'")
+	coreType := flag.String("core", "all", "core type: big, medium, small or 'all'; a benchmark's first profile measures all three core types at once, and -save writes only the requested ones")
 	uops := flag.Uint64("uops", 200_000, "µops per measurement run")
 	curves := flag.Bool("curves", false, "also print the miss-ratio curves")
 	load := flag.String("load", "", "load previously saved profiles from this JSON file (saved at the same -uops)")

@@ -385,8 +385,8 @@ func (t *threadCtx) srcDone(d int32) float64 {
 	return t.doneAt[i]
 }
 
-// StepThread dispatches and times one µop for context ti. It returns the
-// µop's commit time.
+// StepThread reads context ti's next µop from its trace and times it with
+// Step. It returns the µop's commit time.
 func (c *Core) StepThread(ti int) float64 {
 	t := c.thread[ti]
 	var u isa.Uop
@@ -395,7 +395,15 @@ func (c *Core) StepThread(ti int) float64 {
 	} else {
 		u = t.reader.Next()
 	}
+	return c.Step(ti, &u)
+}
 
+// Step dispatches and times u as context ti's next µop, without reading the
+// context's trace: a caller that drives several cores with one stream
+// decodes each µop once and steps every core with it. It returns the µop's
+// commit time.
+func (c *Core) Step(ti int, u *isa.Uop) float64 {
+	t := c.thread[ti]
 	if t.stats.Uops == 0 {
 		t.stats.StartTime = t.frontAvail
 	}

@@ -29,8 +29,9 @@ type Site string
 
 // The engine's injection sites.
 const (
-	// SiteProfiler fires at the start of a profile measurement
-	// (profiler.Source.measure).
+	// SiteProfiler fires on every profile cache miss, before the profile
+	// is measured or read from its benchmark's measurement
+	// (profiler.Source.ProfileCtx).
 	SiteProfiler Site = "profiler"
 	// SiteSolver fires at every contention-solver iteration; NaN mode
 	// corrupts the solver's memory-latency state instead.

@@ -84,6 +84,9 @@ func (s *Source) LoadJSON(r io.Reader) (int, error) {
 		if p.Core != ct {
 			return n, fmt.Errorf("profiler: stored profile %s: key says %s, body says %v", sp.Benchmark, sp.Core, p.Core)
 		}
+		if p.Benchmark != sp.Benchmark {
+			return n, fmt.Errorf("profiler: stored profile %s/%s: key says %s, body says %s", sp.Benchmark, sp.Core, sp.Benchmark, p.Benchmark)
+		}
 		s.profiles.Put(profileKey{bench: sp.Benchmark, core: ct}, &p)
 		n++
 	}

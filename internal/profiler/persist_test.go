@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,6 +122,45 @@ func TestLoadRejectsFidelityMismatch(t *testing.T) {
 	warm.Warmup = src.Warmup / 2
 	if _, err := warm.LoadJSON(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("profiles with a different warmup accepted")
+	}
+}
+
+// TestLoadRejectsBenchmarkMismatch: an entry's key names the benchmark its
+// profile answers for, so a body measured on another benchmark is refused
+// rather than served under the key's name.
+func TestLoadRejectsBenchmarkMismatch(t *testing.T) {
+	src := NewSource(goldenUops)
+	mustProfile(t, src, spec(t, "gcc"), config.Small)
+	var buf bytes.Buffer
+	if err := src.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file profileFile
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Profiles) != 1 {
+		t.Fatalf("saved %d profiles, want gcc/small alone", len(file.Profiles))
+	}
+	file.Profiles[0].Benchmark = "mcf"
+	doc, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewSource(goldenUops)
+	n, err := fresh.LoadJSON(bytes.NewReader(doc))
+	if err == nil {
+		p, _ := fresh.profiles.Cached(profileKey{bench: "mcf", core: config.Small})
+		t.Fatalf("loaded %d profile(s): the mcf/small entry serves a %s profile", n, p.Benchmark)
+	}
+	for _, want := range []string{"mcf", "gcc"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if n != 0 || fresh.profiles.Len() != 0 {
+		t.Fatalf("mismatched load left %d profile(s) behind", fresh.profiles.Len())
 	}
 }
 

@@ -9,6 +9,10 @@
 // real I-cache; run D restores the full data hierarchy. Successive CPI
 // deltas give the branch, I-cache and memory components, and the memory
 // component calibrates the interval model's visible-latency fraction.
+//
+// A benchmark is measured on all three core types at once: the curve pass
+// records the stream's prefix, and the runs replay that one recording in
+// lockstep passes, each decoding a µop once and timing it on several chips.
 package profiler
 
 import (
@@ -78,25 +82,30 @@ type Source struct {
 	// CurveWarmup is the portion of the curve pass excluded from the curve.
 	CurveWarmup uint64
 
-	// profiles and curves memoize measurements with singleflight duplicate
-	// suppression: concurrent misses for the same key measure once.
+	// profiles answers per (benchmark, core type) from benches, which
+	// measures per benchmark: one miss runs the benchmark's curve pass and
+	// then every run of all three core types (measure). Both suppress
+	// duplicates: concurrent misses for one key measure once. benches counts
+	// as the "curves" cache, one miss per curve pass.
 	profiles memo.Cache[profileKey, *interval.Profile]
-	curves   memo.Cache[string, *curvePair]
+	benches  memo.Cache[string, *benchProfiles]
 
 	// measureRuns and curveRuns count underlying measurements — test
 	// instrumentation for the stampede regression tests.
 	measureRuns atomic.Int64
 	curveRuns   atomic.Int64
-	// recorded, when set, sees each profile's recording and whether the
-	// curve pass made it — test instrumentation for the recording's
-	// lifetime and hand-over.
-	recorded func(rec *trace.Recording, fromCurves bool)
+	// recorded, when set, sees each measurement's recording — test
+	// instrumentation for the recording's lifetime.
+	recorded func(rec *trace.Recording)
 }
 
 type profileKey struct {
 	bench string
 	core  config.CoreType
 }
+
+// benchProfiles holds one benchmark's profiles, indexed by core type.
+type benchProfiles [config.NumCoreTypes]*interval.Profile
 
 type curvePair struct {
 	data, code cache.MissCurve
@@ -116,64 +125,61 @@ func NewSource(uopCount uint64) *Source {
 		CurveWarmup: 2 * uopCount,
 	}
 	s.profiles.Name = "profiles"
-	s.curves.Name = "curves"
+	s.benches.Name = "curves"
 	return s
 }
 
 // CacheCounters snapshots the profile and curve cache counters for the
 // daemon's per-cache metrics.
 func (s *Source) CacheCounters() []memo.Counters {
-	return []memo.Counters{s.profiles.Counters(), s.curves.Counters()}
+	return []memo.Counters{s.profiles.Counters(), s.benches.Counters()}
 }
 
-// Profile returns the (cached) profile of spec on core type ct. Concurrent
-// calls for the same (benchmark, core type) measure once; the callers that
-// lose the race block and share the winner's profile. A failed measurement is
-// not cached: a later call retries it.
+// Profile returns the (cached) profile of spec on core type ct. The first
+// call for a benchmark measures its profiles on every core type at once;
+// concurrent calls for the same benchmark measure once, and the callers that
+// lose the race block and share the winner's profiles. A failed measurement
+// is not cached: a later call retries it.
 func (s *Source) Profile(spec trace.Spec, ct config.CoreType) (*interval.Profile, error) {
 	return s.ProfileCtx(context.Background(), spec, ct)
 }
 
-// ProfileCtx is Profile with tracing: when ctx carries an active trace, an
-// actual measurement (a cache miss) is recorded as a "profiler.profile" span
-// nested under the cache's memo.get span. Cache hits — the overwhelming
-// majority once the engine is warm — are not spanned; see memo.GetTraced.
-// The profile returned is identical to Profile's; the context is
-// observational only and does not cancel a measurement.
+// ProfileCtx is Profile with tracing: when ctx carries an active trace, a
+// profile cache miss is recorded as a "profiler.profile" span nested under
+// the cache's memo.get span, and an actual measurement as a
+// "profiler.measure" span below it. Cache hits — the overwhelming majority
+// once the engine is warm — are not spanned; see memo.GetTraced. The profile
+// returned is identical to Profile's; the context is observational only and
+// does not cancel a measurement.
 func (s *Source) ProfileCtx(ctx context.Context, spec trace.Spec, ct config.CoreType) (*interval.Profile, error) {
+	if ct >= config.NumCoreTypes {
+		return nil, fmt.Errorf("profiler: unknown core type %v", ct)
+	}
 	return s.profiles.GetTraced(ctx, profileKey{bench: spec.Name, core: ct}, func(ctx context.Context) (*interval.Profile, error) {
 		ctx, sp := obs.StartSpan(ctx, "profiler.profile")
 		sp.SetAttr("benchmark", spec.Name)
 		sp.SetAttr("core", ct.String())
 		defer sp.End()
-		return s.measure(ctx, spec, ct)
+		if err := faults.Check(faults.SiteProfiler); err != nil {
+			return nil, err
+		}
+		ps, err := s.benches.GetTraced(ctx, spec.Name, func(ctx context.Context) (*benchProfiles, error) {
+			return s.measure(ctx, spec)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return ps[ct], nil
 	})
 }
 
-// curvesFor computes (or returns cached) reuse curves for the benchmark,
-// with the same duplicate suppression as Profile. The call that runs the
-// curve pass also gets the pass's recording of the stream's first
-// Warmup+UopCount µops; every other call gets a nil recording. The
-// recording is never cached, so it lives only as long as its caller keeps
-// it.
-func (s *Source) curvesFor(ctx context.Context, spec trace.Spec) (*curvePair, *trace.Recording, error) {
-	var rec *trace.Recording
-	curves, err := s.curves.GetTraced(ctx, spec.Name, func(ctx context.Context) (*curvePair, error) {
-		_, sp := obs.StartSpan(ctx, "profiler.curves")
-		sp.SetAttr("benchmark", spec.Name)
-		defer sp.End()
-		curves, r, err := s.measureCurves(spec)
-		rec = r
-		return curves, err
-	})
-	return curves, rec, err
-}
-
-// measureCurves runs the stack-distance pass behind curvesFor's cache. The
-// pass reads the profileSeed stream the profiles are measured on, so it
-// records the stream's first Warmup+UopCount µops on the way and returns
-// that recording too (nil if the pass is shorter).
-func (s *Source) measureCurves(spec trace.Spec) (*curvePair, *trace.Recording, error) {
+// measureCurves runs the benchmark's stack-distance pass over the
+// profileSeed stream the profiles are measured on, and records the stream's
+// first Warmup+UopCount µops on the way: every run replays that recording.
+func (s *Source) measureCurves(ctx context.Context, spec trace.Spec) (*curvePair, *trace.Recording, error) {
+	_, sp := obs.StartSpan(ctx, "profiler.curves")
+	sp.SetAttr("benchmark", spec.Name)
+	defer sp.End()
 	s.curveRuns.Add(1)
 	stream, err := trace.NewRecorder(spec, profileSeed, s.Warmup+s.UopCount)
 	if err != nil {
@@ -201,6 +207,10 @@ func (s *Source) measureCurves(spec trace.Spec) (*curvePair, *trace.Recording, e
 			codeProf.Touch(blk)
 		}
 	}
+	// A curve pass shorter than a run still leaves a run's recording.
+	for stream.Recording() == nil {
+		stream.Next()
+	}
 	kilo := float64(s.CurveUops) / 1000
 	return &curvePair{
 		data:       dataProf.MissRatioCurve(dataSnap, curveCapacities),
@@ -217,74 +227,187 @@ type measured struct {
 	wbFraction  float64 // DRAM writebacks per DRAM fill
 }
 
-// runOnce simulates the recorded benchmark alone on a single core with
-// configuration cc and the given ideal flags, discarding a warmup window
-// before measuring.
-func (s *Source) runOnce(rec *trace.Recording, cc config.Core, ideal cpu.Ideal) (measured, error) {
-	d := config.Design{Name: "profiling", SMTEnabled: false, MemBandwidthGBps: 8}
-	d.Cores = []config.Core{cc}
-	llc := config.LLCConfig()
-	d.LLC.SizeBytes = llc.SizeBytes
-	d.LLC.Assoc = llc.Assoc
-	d.LLC.LatencyCycles = llc.LatencyCycles
-
-	chip, err := multicore.New(d, ideal)
-	if err != nil {
-		return measured{}, err
-	}
-	id, err := chip.AttachThread(0, rec.Reader())
-	if err != nil {
-		return measured{}, err
-	}
-	chip.Run(s.Warmup)
-	warm := chip.ThreadStats(id)
-	warmDram := chip.DRAMStats()
-	chip.Run(s.Warmup + s.UopCount)
-	final := chip.ThreadStats(id)
-	finalDram := chip.DRAMStats()
-
-	duops := float64(final.Uops - warm.Uops)
-	m := measured{
-		cpi:         (final.FinishTime - warm.FinishTime) / duops,
-		mispredicts: float64(final.Mispredicts-warm.Mispredicts) / duops,
-	}
-	if fills := finalDram.Accesses - warmDram.Accesses; fills > 0 {
-		m.wbFraction = float64(finalDram.Writebacks-warmDram.Writebacks) / float64(fills)
-	}
-	return m, nil
+// run is one cycle-engine run of a measurement: the benchmark alone on a
+// single core with configuration cc and the given ideal flags. Its result
+// lands in out.
+type run struct {
+	cc    config.Core
+	ideal cpu.Ideal
+	out   *measured
 }
 
-func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreType) (*interval.Profile, error) {
+// ownsLLC reports whether the run's chip builds the 2 MB LLC: every run
+// that does not perfect both the I-cache and the D-cache (multicore.New).
+func (r *run) ownsLLC() bool { return !r.ideal.ICache || !r.ideal.DCache }
+
+// coreRuns are one core type's runs of a measurement and their results.
+type coreRuns struct {
+	ct config.CoreType
+	cc config.Core
+	// windows are the ROB partitions of run A, base its results.
+	windows []int
+	base    []measured
+	// b, c, d and dmin are the results of runs B, C, D and D at the
+	// smallest SMT partition (out-of-order SMT cores only).
+	b, c, d, dmin measured
+}
+
+func newCoreRuns(ct config.CoreType) *coreRuns {
+	cc := config.CoreOfType(ct)
+	ws := baseWindows(cc)
+	return &coreRuns{ct: ct, cc: cc, windows: ws, base: make([]measured, len(ws))}
+}
+
+// hasMinWindow reports whether the core type calibrates a second visible
+// fraction at its smallest SMT partition.
+func (cr *coreRuns) hasMinWindow() bool { return cr.cc.OutOfOrder && cr.cc.SMTContexts > 1 }
+
+// runs lists the core type's runs: run A at every window (perfect
+// everything), then B (real branches), C (real I-cache), D (real data
+// hierarchy) and, on out-of-order SMT cores, D at the smallest partition.
+func (cr *coreRuns) runs() []*run {
+	var rs []*run
+	allIdeal := cpu.Ideal{Branch: true, ICache: true, DCache: true}
+	for i, w := range cr.windows {
+		wcc := cr.cc
+		if cr.cc.OutOfOrder {
+			wcc.ROBSize = w
+		}
+		rs = append(rs, &run{cc: wcc, ideal: allIdeal, out: &cr.base[i]})
+	}
+	rs = append(rs,
+		&run{cc: cr.cc, ideal: cpu.Ideal{ICache: true, DCache: true}, out: &cr.b},
+		&run{cc: cr.cc, ideal: cpu.Ideal{DCache: true}, out: &cr.c},
+		&run{cc: cr.cc, out: &cr.d})
+	if cr.hasMinWindow() {
+		wcc := cr.cc
+		wcc.ROBSize = interval.Partition(cr.cc, cr.cc.SMTContexts)
+		rs = append(rs, &run{cc: wcc, out: &cr.dmin})
+	}
+	return rs
+}
+
+// passes groups runs into passes over the recording: one pass per run that
+// owns an LLC, so a measurement never holds two 2 MB LLCs at once, with the
+// cache-less runs dealt over those passes in turn.
+func passes(rs []*run) [][]*run {
+	var ps [][]*run
+	var riders []*run
+	for _, r := range rs {
+		if r.ownsLLC() {
+			ps = append(ps, []*run{r})
+		} else {
+			riders = append(riders, r)
+		}
+	}
+	for i, r := range riders {
+		ps[i%len(ps)] = append(ps[i%len(ps)], r)
+	}
+	return ps
+}
+
+// window returns the µops a run steps before its measured window opens and
+// in all: as many as Chip.Run(Warmup) and then Chip.Run(Warmup+UopCount)
+// step a one-thread chip, at least one per call.
+func (s *Source) window() (warm, end uint64) {
+	warm = max(s.Warmup, 1)
+	return warm, max(s.Warmup+s.UopCount, warm+1)
+}
+
+// runPass steps a pass's runs over the recording in lockstep: it decodes
+// each µop once and times it on every run's chip. Every chip's one thread is
+// bound to the pass's replay, which only the pass reads. The chips go with
+// the call, so the next pass never finds this one's LLC still reachable.
+func (s *Source) runPass(rec *trace.Recording, rs []*run) error {
+	stream := rec.Reader()
+	chips := make([]*multicore.Chip, len(rs))
+	cores := make([]*cpu.Core, len(rs))
+	for i, r := range rs {
+		d := config.Design{Name: "profiling", SMTEnabled: false, MemBandwidthGBps: 8}
+		d.Cores = []config.Core{r.cc}
+		llc := config.LLCConfig()
+		d.LLC.SizeBytes = llc.SizeBytes
+		d.LLC.Assoc = llc.Assoc
+		d.LLC.LatencyCycles = llc.LatencyCycles
+		chip, err := multicore.New(d, r.ideal)
+		if err != nil {
+			return err
+		}
+		if _, err := chip.AttachThread(0, stream); err != nil {
+			return err
+		}
+		chips[i], cores[i] = chip, chip.Core(0)
+	}
+	warmAt, end := s.window()
+	warm := make([]cpu.ThreadStats, len(rs))
+	warmDram := make([]mem.Stats, len(rs))
+	var u isa.Uop
+	for i := uint64(0); i < end; i++ {
+		if i == warmAt {
+			for j, chip := range chips {
+				warm[j], warmDram[j] = chip.ThreadStats(0), chip.DRAMStats()
+			}
+		}
+		stream.Decode(&u)
+		for _, c := range cores {
+			c.Step(0, &u)
+		}
+	}
+	for j, r := range rs {
+		final, finalDram := chips[j].ThreadStats(0), chips[j].DRAMStats()
+		duops := float64(final.Uops - warm[j].Uops)
+		*r.out = measured{
+			cpi:         (final.FinishTime - warm[j].FinishTime) / duops,
+			mispredicts: float64(final.Mispredicts-warm[j].Mispredicts) / duops,
+		}
+		if fills := finalDram.Accesses - warmDram[j].Accesses; fills > 0 {
+			r.out.wbFraction = float64(finalDram.Writebacks-warmDram[j].Writebacks) / float64(fills)
+		}
+	}
+	return nil
+}
+
+// measure profiles spec on every core type: the curve pass, then every core
+// type's runs in lockstep passes over the pass's recording, which lives only
+// as long as this call.
+func (s *Source) measure(ctx context.Context, spec trace.Spec) (*benchProfiles, error) {
 	ctx, sp := obs.StartSpan(ctx, "profiler.measure")
 	sp.SetAttr("benchmark", spec.Name)
-	sp.SetAttr("core", ct.String())
 	defer sp.End()
 	s.measureRuns.Add(1)
-	if err := faults.Check(faults.SiteProfiler); err != nil {
-		return nil, err
-	}
-	cc := config.CoreOfType(ct)
-	// Every run below replays the same profileSeed stream, and none reads
-	// past Warmup+UopCount µops: record it once, and let the recording go
-	// with this call. The profile whose call ran the curve pass takes the
-	// pass's recording; the others record the prefix after the pass.
-	curves, rec, err := s.curvesFor(ctx, spec)
+	curves, rec, err := s.measureCurves(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	fromCurves := rec != nil
-	if !fromCurves {
-		if rec, err = trace.Record(spec, profileSeed, s.Warmup+s.UopCount); err != nil {
+	if s.recorded != nil {
+		s.recorded(rec)
+	}
+	var crs [config.NumCoreTypes]*coreRuns
+	for ct := range crs {
+		crs[ct] = newCoreRuns(config.CoreType(ct))
+		for _, p := range passes(crs[ct].runs()) {
+			if err := s.runPass(rec, p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var ps benchProfiles
+	for ct, cr := range crs {
+		if ps[ct], err = cr.profile(spec, curves); err != nil {
 			return nil, err
 		}
 	}
-	if s.recorded != nil {
-		s.recorded(rec, fromCurves)
-	}
+	return &ps, nil
+}
 
+// profile derives the core type's profile from its runs' results: successive
+// CPI deltas give the branch, I-cache and memory components, and the memory
+// component calibrates the visible-latency fraction.
+func (cr *coreRuns) profile(spec trace.Spec, curves *curvePair) (*interval.Profile, error) {
+	cc := cr.cc
 	p := &interval.Profile{
 		Benchmark:  spec.Name,
-		Core:       ct,
+		Core:       cr.ct,
 		DataAPKU:   curves.dataAPKU,
 		IBlockAPKU: curves.iBlockAPKU,
 		DCurve:     curves.data,
@@ -292,44 +415,19 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 	}
 
 	// Base CPI at every reachable ROB partition (perfect everything).
-	allIdeal := cpu.Ideal{Branch: true, ICache: true, DCache: true}
-	for _, w := range baseWindows(cc) {
-		wcc := cc
-		if cc.OutOfOrder {
-			wcc.ROBSize = w
-		}
-		st, err := s.runOnce(rec, wcc, allIdeal)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range cr.windows {
 		p.BaseWindows = append(p.BaseWindows, w)
-		p.BaseCPIs = append(p.BaseCPIs, st.cpi)
+		p.BaseCPIs = append(p.BaseCPIs, cr.base[i].cpi)
 	}
 	cpiA := p.BaseCPIs[len(p.BaseCPIs)-1] // full-window base CPI
 
-	// Real branches.
-	stB, err := s.runOnce(rec, cc, cpu.Ideal{ICache: true, DCache: true})
-	if err != nil {
-		return nil, err
-	}
-	p.BrCPI = clampNonNeg(stB.cpi - cpiA)
-	p.BrMPKU = stB.mispredicts * 1000
-
-	// Real I-cache.
-	stC, err := s.runOnce(rec, cc, cpu.Ideal{DCache: true})
-	if err != nil {
-		return nil, err
-	}
-	p.L1ICPI = clampNonNeg(stC.cpi - stB.cpi)
-
-	// Real data hierarchy.
-	stD, err := s.runOnce(rec, cc, cpu.Ideal{})
-	if err != nil {
-		return nil, err
-	}
-	memCPI := clampNonNeg(stD.cpi - stC.cpi)
+	// Real branches, then the real I-cache, then the real data hierarchy.
+	p.BrCPI = clampNonNeg(cr.b.cpi - cpiA)
+	p.BrMPKU = cr.b.mispredicts * 1000
+	p.L1ICPI = clampNonNeg(cr.c.cpi - cr.b.cpi)
+	memCPI := clampNonNeg(cr.d.cpi - cr.c.cpi)
 	p.BaselineMemCPI = memCPI
-	p.WritebackFraction = stD.wbFraction
+	p.WritebackFraction = cr.d.wbFraction
 
 	// Calibrate the visible-latency fraction so that Evaluate reproduces the
 	// measured memory CPI at the baseline configuration.
@@ -349,19 +447,13 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		p.MemConstCPI = memCPI - rawMem
 	}
 
-	// For out-of-order cores, repeat the real-hierarchy run at the smallest
+	// For out-of-order cores, the real-hierarchy run repeated at the smallest
 	// SMT partition: the shrunken window holds fewer outstanding misses, so
 	// more of the latency becomes visible. The interval model interpolates
 	// between the two calibration points.
-	if cc.OutOfOrder && cc.SMTContexts > 1 {
+	if cr.hasMinWindow() {
 		wmin := interval.Partition(cc, cc.SMTContexts)
-		wcc := cc
-		wcc.ROBSize = wmin
-		stDmin, err := s.runOnce(rec, wcc, cpu.Ideal{})
-		if err != nil {
-			return nil, err
-		}
-		memCPImin := clampNonNeg(stDmin.cpi - p.BaseCPI(wmin) - p.BrCPI - p.L1ICPI - p.MemConstCPI)
+		memCPImin := clampNonNeg(cr.dmin.cpi - p.BaseCPI(wmin) - p.BrCPI - p.L1ICPI - p.MemConstCPI)
 		p.VisibleMinWindow = wmin
 		p.VisibleMin = p.Visible
 		if rawMem > 1e-9 {
@@ -376,7 +468,7 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		}
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("profiler: %s on %s: %w", spec.Name, ct, err)
+		return nil, fmt.Errorf("profiler: %s on %s: %w", spec.Name, cr.ct, err)
 	}
 	return p, nil
 }

@@ -74,10 +74,48 @@ func TestProfileConcurrentMissesMeasureOnce(t *testing.T) {
 		}
 	}
 
-	// Distinct core types share the curve pass but measure separately.
+	// The one measurement covered every core type of the benchmark.
 	s.Profile(sp, config.Small)
-	if n, c := s.measureRuns.Load(), s.curveRuns.Load(); n != 2 || c != 1 {
-		t.Errorf("after second core type: %d measurements (want 2), %d curve passes (want 1)", n, c)
+	if n, c := s.measureRuns.Load(), s.curveRuns.Load(); n != 1 || c != 1 {
+		t.Errorf("after second core type: %d measurements (want 1), %d curve passes (want 1)", n, c)
+	}
+}
+
+// TestProfileCoreTypesShareOneMeasurement asks for all three core types of
+// one benchmark at once, several times each: one measurement, one curve pass
+// and one recording serve them all, and every caller of a core type gets the
+// same profile.
+func TestProfileCoreTypesShareOneMeasurement(t *testing.T) {
+	s := NewSource(3_000)
+	var recorded atomic.Int32
+	s.recorded = func(*trace.Recording) { recorded.Add(1) }
+	sp := spec(t, "gcc")
+	const perType = 4
+	profiles := make([]*interval.Profile, perType*int(config.NumCoreTypes))
+	var wg sync.WaitGroup
+	for g := range profiles {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p, err := s.Profile(sp, config.CoreType(g%int(config.NumCoreTypes)))
+			if err != nil {
+				t.Error(err)
+			}
+			profiles[g] = p
+		}(g)
+	}
+	wg.Wait()
+	if n, c, r := s.measureRuns.Load(), s.curveRuns.Load(), recorded.Load(); n != 1 || c != 1 || r != 1 {
+		t.Fatalf("%d measurements, %d curve passes, %d recordings for one benchmark's three core types, want 1 each", n, c, r)
+	}
+	for g, p := range profiles {
+		ct := config.CoreType(g % int(config.NumCoreTypes))
+		if p == nil || p.Benchmark != "gcc" || p.Core != ct {
+			t.Fatalf("caller %d asked for gcc on %s, got %+v", g, ct, p)
+		}
+		if p != profiles[ct] {
+			t.Fatalf("callers %d and %d got different %s profiles", g, ct, ct)
+		}
 	}
 }
 
@@ -90,6 +128,9 @@ func TestProfileValidAndCached(t *testing.T) {
 	p2 := mustProfile(t, s, spec(t, "tonto"), config.Big)
 	if p1 != p2 {
 		t.Fatal("profile not cached (pointer identity expected)")
+	}
+	if p, err := s.Profile(spec(t, "tonto"), config.NumCoreTypes); err == nil {
+		t.Fatalf("core type %d out of range: got a %v profile, want an error", config.NumCoreTypes, p.Core)
 	}
 }
 
@@ -234,40 +275,34 @@ func TestWritebackFractionBounded(t *testing.T) {
 	}
 }
 
-// TestRecordingPerProfileIsDropped checks that a profile records its stream
-// once, Warmup+UopCount µops long, that the profile whose call ran the
-// curve pass takes the pass's recording instead of making its own, and that
-// nothing keeps a recording once its profile is done.
+// TestRecordingPerProfileIsDropped checks that a benchmark's measurement
+// records its stream once, in the curve pass, Warmup+UopCount µops long,
+// that every core type's profile comes from that one recording, and that
+// nothing keeps the recording once the benchmark is measured.
 func TestRecordingPerProfileIsDropped(t *testing.T) {
 	s := NewSource(3_000)
-	var recorded, handed, dropped atomic.Int32
-	s.recorded = func(r *trace.Recording, fromCurves bool) {
+	var recorded, dropped atomic.Int32
+	s.recorded = func(r *trace.Recording) {
 		recorded.Add(1)
-		if fromCurves {
-			handed.Add(1)
-		}
 		if r.Len() != int(s.Warmup+s.UopCount) {
 			t.Errorf("recording holds %d µops, want %d", r.Len(), s.Warmup+s.UopCount)
 		}
 		runtime.SetFinalizer(r, func(*trace.Recording) { dropped.Add(1) })
 	}
 	sp := spec(t, "gcc")
-	mustProfile(t, s, sp, config.Big) // runs the curve pass: takes its recording
+	mustProfile(t, s, sp, config.Big) // measures every core type
 	mustProfile(t, s, sp, config.Small)
 	mustProfile(t, s, sp, config.Big) // cached: no new recording
-	if n := recorded.Load(); n != 2 {
-		t.Fatalf("%d recordings for two profiles, want 2", n)
+	if n, m, c := recorded.Load(), s.measureRuns.Load(), s.curveRuns.Load(); n != 1 || m != 1 || c != 1 {
+		t.Fatalf("%d recordings, %d measurements, %d curve passes for one benchmark, want 1 each", n, m, c)
 	}
-	if n := handed.Load(); n != 1 {
-		t.Fatalf("%d recordings handed over by the curve pass, want 1", n)
-	}
-	for deadline := time.Now().Add(5 * time.Second); dropped.Load() < 2; {
+	for deadline := time.Now().Add(5 * time.Second); dropped.Load() < 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of 2 recordings still reachable after their profiles", 2-dropped.Load())
+			t.Fatal("the recording is still reachable after its benchmark was measured")
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	// The source itself stays live: only the recordings may go.
+	// The source itself stays live: only the recording may go.
 	runtime.KeepAlive(s)
 }

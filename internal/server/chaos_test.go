@@ -119,7 +119,8 @@ func TestChaos(t *testing.T) {
 		const delay = 150 * time.Millisecond
 		faults.Enable(faults.SiteProfiler, faults.Injection{Mode: faults.ModeLatency, Latency: delay, Count: 1})
 		start := time.Now()
-		// 8m is cold and medium-cored: new profiles to measure.
+		// 8m is cold and medium-cored: its medium profiles miss the
+		// profile cache, though the 4B sweep measured them with big.
 		code, body, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"8m"}`)
 		if code != http.StatusOK {
 			t.Fatalf("latency injection broke the sweep: code=%d body=%s", code, body)

@@ -43,7 +43,8 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 // coordinatorSim is a fresh engine loaded with the shared engine's
 // profiles, for a coordinator daemon (its Config.Sim and its study): the
 // shared engine's sweep cache holds what other tests swept, which a
-// coordinator on it would answer without dispatching.
+// coordinator on it would answer without dispatching. A test that needs a
+// cold sweep on a solo daemon uses it the same way.
 func coordinatorSim(t *testing.T) *core.Simulator {
 	t.Helper()
 	var buf bytes.Buffer

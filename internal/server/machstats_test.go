@@ -9,8 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"smtflex/internal/config"
 	"smtflex/internal/machstats"
 	"smtflex/internal/study"
+	"smtflex/internal/workload"
 )
 
 // TestSweepMachStatsAttachment checks the ?machstats=1 opt-in on the sweep
@@ -171,10 +173,20 @@ func readSSE(t *testing.T, r *bufio.Scanner) []sseEvent {
 // with monotone done counts, a terminal result event whose payload matches
 // the POST endpoint's response, and error handling on bad input.
 func TestSweepStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	// A cold sweep must emit progress, so it runs on a fresh engine: the
+	// package-wide sharedSim keeps every sweep, and would answer this one
+	// from its cache on a second -count iteration. The fresh engine loads the
+	// 1B6m profiles (big and medium) from sharedSim, which measures them
+	// once per test process.
+	for _, sp := range workload.Benchmarks() {
+		for _, ct := range []config.CoreType{config.Big, config.Medium} {
+			if _, err := sharedSim().Source().Profile(sp, ct); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, ts := newTestServer(t, Config{Sim: coordinatorSim(t)})
 
-	// A cold sweep must emit progress; use a design no other test sweeps so
-	// the cache cannot have it. (sharedSim is shared across the package.)
 	resp, err := http.Get(ts.URL + "/v1/sweep?stream=1&design=1B6m&kind=heterogeneous&machstats=1")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +231,7 @@ func TestSweepStream(t *testing.T) {
 			t.Fatalf("progress not monotone: %d after %d", p.Done, prevDone)
 		}
 		prevDone = p.Done
-		if p.Total != study.MaxThreads*2 { // sharedSim uses MixesPerCount=2
+		if p.Total != study.MaxThreads*2 { // testSimOpts uses MixesPerCount=2
 			t.Fatalf("progress total %d, want %d", p.Total, study.MaxThreads*2)
 		}
 	}
