@@ -46,14 +46,15 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := benchjson.DefaultThresholds()
 	var (
 		compare     = fs.String("compare", "", "baseline JSON file to gate against; exits 2 on regression")
 		current     = fs.String("current", "", "current-run JSON file (with -compare); default reads bench text from stdin")
 		reportPath  = fs.String("report", "", "also write the comparison report to this file")
-		nsPct       = fs.Float64("ns-pct", 300, "allowed ns/op increase in percent")
-		allocsPct   = fs.Float64("allocs-pct", 10, "allowed allocs/op increase in percent")
-		allocsSlack = fs.Float64("allocs-slack", 64, "absolute allocs/op allowance on top of -allocs-pct")
-		minNs       = fs.Float64("min-ns", 1000, "baseline ns/op below this floor is not wall-time gated")
+		nsPct       = fs.Float64("ns-pct", def.Default.NsPerOpPct, "allowed ns/op increase in percent")
+		allocsPct   = fs.Float64("allocs-pct", def.Default.AllocsPerOpPct, "allowed allocs/op increase in percent")
+		allocsSlack = fs.Float64("allocs-slack", def.Default.AllocsPerOpSlack, "absolute allocs/op allowance on top of -allocs-pct")
+		minNs       = fs.Float64("min-ns", def.MinNsPerOp, "baseline ns/op below this floor is not wall-time gated")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1

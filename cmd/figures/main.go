@@ -29,7 +29,6 @@ import (
 
 	"smtflex/internal/buildinfo"
 	"smtflex/internal/core"
-	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
 	"smtflex/internal/study"
@@ -42,9 +41,7 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the experiment engine (1 = serial)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	journalDir := flag.String("journal", "", "journal directory for completed figures and measured profiles; a restarted campaign replays it and computes only the remainder")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the campaign here and print a time-stack report to stderr")
-	machPath := flag.String("machstats", "", "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv after the campaign")
-	perfsnapDir := flag.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the campaign")
+	outs := perfdiff.RegisterCLI(flag.CommandLine, "figures", "campaign")
 	list := flag.Bool("list", false, "list available figure ids and exit")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
@@ -85,29 +82,9 @@ func main() {
 
 	sim := core.NewSimulator(core.WithUopCount(*uops), core.WithMixesPerCount(*mixes), core.WithParallelism(*workers))
 
-	// With -machstats, the machine-counter registry collects CPI stacks and
-	// event counters across the whole campaign and exports them on exit.
-	// Arming it never changes the tables.
-	if *machPath != "" {
-		machstats.Enable()
-	}
-
-	// With -trace, every figure runs under its own root span; on exit the
-	// collected traces become one Chrome trace-event file and the aggregated
-	// time stack lands on stderr. Tracing never changes the tables.
-	var col *obs.Collector
-	if *tracePath != "" || *perfsnapDir != "" {
-		obs.Enable()
-		col = obs.NewCollector(len(ids) + 1)
-	}
-
-	// With -perfsnap, every snapshot source is armed for the campaign and a
-	// perf snapshot (the `perfdiff` input) lands in the directory at exit.
-	// Arming never changes the tables.
-	var perfArm *perfdiff.CLIArm
-	if *perfsnapDir != "" {
-		perfArm = perfdiff.ArmCLI("figures", sim.Study(), col)
-	}
+	// -trace runs every figure under its own root span; -machstats and
+	// -perfsnap collect across the whole campaign. None changes the tables.
+	col := outs.Arm(sim.Study(), len(ids)+1)
 
 	camp, err := sim.OpenCampaign(*journalDir)
 	if err != nil {
@@ -139,30 +116,9 @@ func main() {
 		writeCSV(*csvDir, id, tab)
 	}
 
-	if col != nil && *tracePath != "" {
-		report, err := col.DumpFile(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote %d trace(s) to %s\n\n%s", col.Len(), *tracePath, report)
-	}
-	if *machPath != "" {
-		snap := machstats.Default().Snapshot()
-		paths, err := snap.WriteFiles(*machPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: machstats export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: %s\nfigures: wrote %s\n", snap.FormatSummary(), strings.Join(paths, ", "))
-	}
-	if perfArm != nil {
-		path, err := perfArm.WriteDir(*perfsnapDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: perfsnap: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote perf snapshot %s\n", path)
+	if err := outs.Write(os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -3,20 +3,18 @@
 //
 //	perfdiff baseline.json current.json
 //
-// Each input is a perf snapshot (captured via /debug/perfsnap or a CLI's
-// -perfsnap flag) or a raw benchjson report (the bench job's trajectory
-// documents work unmodified, so a bench-gate failure can be attributed
-// without a conversion step). The output is a ranked report: per-phase
-// self-time deltas, per-component CPI deltas per engine, histogram quantile
-// shifts (p50/p95/p99), and bench ns/allocs deltas when both snapshots embed
-// results — worst first, regressions over threshold flagged OVER.
+// Each input is a perf snapshot, captured via /debug/perfsnap or a CLI's
+// -perfsnap flag. A benchjson report is refused: `benchjson -compare` is
+// the one comparison of bench reports. The output is a ranked report:
+// per-phase self-time deltas, per-component CPI deltas per engine and
+// histogram quantile shifts (p50/p95/p99) — worst first, regressions over
+// threshold flagged OVER.
 //
 // Flags tune the noise floors: -phase-pct/-phase-min-ns (engine-phase mean
-// self time per trace), -cpi-pct/-cpi-min (CPI-stack components),
-// -quantile-pct/-quantile-min (histogram quantiles), and the bench gate's
-// -ns-pct/-allocs-pct/-allocs-slack/-min-ns with the same meanings as
-// `benchjson -compare`. -format json emits the report document instead of
-// text; -report FILE also writes the text report for CI artifacts.
+// self time per trace), -cpi-pct/-cpi-min (CPI-stack components) and
+// -quantile-pct/-quantile-min (histogram quantiles). -format json emits the
+// report document instead of text; -report FILE also writes the text report
+// for CI artifacts.
 //
 // Exit codes mirror benchjson: 0 no deltas over threshold; 1 unreadable or
 // schema-mismatched input; 2 at least one delta over threshold.
@@ -29,7 +27,6 @@ import (
 	"io"
 	"os"
 
-	"smtflex/internal/benchjson"
 	"smtflex/internal/perfdiff"
 )
 
@@ -46,18 +43,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	def := perfdiff.DefaultThresholds()
 	var (
-		format      = fs.String("format", "text", "output format: text or json")
-		reportPath  = fs.String("report", "", "also write the text report to this file")
-		phasePct    = fs.Float64("phase-pct", def.PhasePct, "allowed %% increase in a phase's mean self time per trace")
-		phaseMinNs  = fs.Float64("phase-min-ns", def.PhaseMinNs, "phase mean self-time floor in ns; quieter phases are not gated")
-		cpiPct      = fs.Float64("cpi-pct", def.CPIPct, "allowed %% increase in a CPI-stack component")
-		cpiMin      = fs.Float64("cpi-min", def.CPIMin, "absolute CPI-delta floor")
-		quantPct    = fs.Float64("quantile-pct", def.QuantilePct, "allowed %% increase in a histogram quantile")
-		quantMin    = fs.Float64("quantile-min", def.QuantileMin, "absolute quantile-delta floor")
-		nsPct       = fs.Float64("ns-pct", def.Bench.Default.NsPerOpPct, "bench gate: allowed ns/op increase in percent")
-		allocsPct   = fs.Float64("allocs-pct", def.Bench.Default.AllocsPerOpPct, "bench gate: allowed allocs/op increase in percent")
-		allocsSlack = fs.Float64("allocs-slack", def.Bench.Default.AllocsPerOpSlack, "bench gate: absolute allocs/op allowance")
-		minNs       = fs.Float64("min-ns", def.Bench.MinNsPerOp, "bench gate: baseline ns/op noise floor")
+		format     = fs.String("format", "text", "output format: text or json")
+		reportPath = fs.String("report", "", "also write the text report to this file")
+		phasePct   = fs.Float64("phase-pct", def.PhasePct, "allowed %% increase in a phase's mean self time per trace")
+		phaseMinNs = fs.Float64("phase-min-ns", def.PhaseMinNs, "phase mean self-time floor in ns; quieter phases are not gated")
+		cpiPct     = fs.Float64("cpi-pct", def.CPIPct, "allowed %% increase in a CPI-stack component")
+		cpiMin     = fs.Float64("cpi-min", def.CPIMin, "absolute CPI-delta floor")
+		quantPct   = fs.Float64("quantile-pct", def.QuantilePct, "allowed %% increase in a histogram quantile")
+		quantMin   = fs.Float64("quantile-min", def.QuantileMin, "absolute quantile-delta floor")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -86,14 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PhasePct: *phasePct, PhaseMinNs: *phaseMinNs,
 		CPIPct: *cpiPct, CPIMin: *cpiMin,
 		QuantilePct: *quantPct, QuantileMin: *quantMin,
-		Bench: benchjson.Thresholds{
-			Default: benchjson.Limit{
-				NsPerOpPct:       *nsPct,
-				AllocsPerOpPct:   *allocsPct,
-				AllocsPerOpSlack: *allocsSlack,
-			},
-			MinNsPerOp: *minNs,
-		},
 	}
 	rep, err := perfdiff.Diff(base, cur, th)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"smtflex/internal/benchjson"
 	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
 )
@@ -83,34 +82,6 @@ func TestRunJSONFormat(t *testing.T) {
 	}
 	if rep.Deltas[0].Metric != obs.CatSolve {
 		t.Errorf("top delta %+v, want solve", rep.Deltas[0])
-	}
-}
-
-func TestRunRawBenchReports(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, ns float64) string {
-		rep := benchjson.Report{Results: []benchjson.Result{{
-			Name: "BenchmarkSolve", Procs: 1, Iterations: 10, NsPerOp: ns,
-			Metrics: map[string]float64{"allocs/op": 0},
-		}}}
-		data, _ := json.Marshal(rep)
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base, cur := mk("base.json", 10_000), mk("cur.json", 100_000)
-	var out, errb bytes.Buffer
-	if code := run([]string{base, cur}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "bench") || !strings.Contains(out.String(), "ns/op") {
-		t.Errorf("bench attribution missing:\n%s", out.String())
-	}
-	// Identical reports are clean.
-	if code := run([]string{base, base}, &out, &errb); code != 0 {
-		t.Fatalf("identical bench reports exit %d, want 0", code)
 	}
 }
 

@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"smtflex/internal/buildinfo"
 	"smtflex/internal/core"
-	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
 )
@@ -37,9 +35,7 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the experiment engine (1 = serial)")
 	figures := flag.Bool("figures", false, "append every figure table to the report")
 	journalDir := flag.String("journal", "", "journal directory for completed figures and measured profiles; a restarted campaign replays it and computes only the remainder")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the campaign here and print a time-stack report to stderr")
-	machPath := flag.String("machstats", "", "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv after the campaign")
-	perfsnapDir := flag.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the campaign")
+	outs := perfdiff.RegisterCLI(flag.CommandLine, "report", "campaign")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
 
@@ -50,29 +46,10 @@ func main() {
 
 	sim := core.NewSimulator(core.WithUopCount(*uops), core.WithParallelism(*workers))
 
-	// With -machstats, the machine-counter registry collects CPI stacks and
-	// event counters across the whole campaign; arming it never changes the
-	// report.
-	if *machPath != "" {
-		machstats.Enable()
-	}
-
-	// With -trace, the findings campaign and every figure run under root
-	// spans; the collected traces become one Chrome trace-event file and the
-	// aggregated time stack lands on stderr.
-	var col *obs.Collector
-	if *tracePath != "" || *perfsnapDir != "" {
-		obs.Enable()
-		col = obs.NewCollector(len(core.FigureIDs()) + 1)
-	}
-
-	// With -perfsnap, every snapshot source is armed for the campaign and a
-	// perf snapshot (the `perfdiff` input) lands in the directory at exit.
-	// Arming never changes the report.
-	var perfArm *perfdiff.CLIArm
-	if *perfsnapDir != "" {
-		perfArm = perfdiff.ArmCLI("report", sim.Study(), col)
-	}
+	// -trace runs the findings campaign and every figure under root spans;
+	// -machstats and -perfsnap collect across the whole campaign. None
+	// changes the report.
+	col := outs.Arm(sim.Study(), len(core.FigureIDs())+1)
 
 	camp, err := sim.OpenCampaign(*journalDir)
 	if err != nil {
@@ -131,29 +108,8 @@ func main() {
 		}
 	}
 
-	if col != nil && *tracePath != "" {
-		report, err := col.DumpFile(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report: wrote %d trace(s) to %s\n\n%s", col.Len(), *tracePath, report)
-	}
-	if *machPath != "" {
-		snap := machstats.Default().Snapshot()
-		paths, err := snap.WriteFiles(*machPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: machstats export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report: %s\nreport: wrote %s\n", snap.FormatSummary(), strings.Join(paths, ", "))
-	}
-	if perfArm != nil {
-		path, err := perfArm.WriteDir(*perfsnapDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: perfsnap: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report: wrote perf snapshot %s\n", path)
+	if err := outs.Write(os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "report: %v\n", err)
+		os.Exit(1)
 	}
 }

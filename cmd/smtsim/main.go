@@ -23,7 +23,6 @@ import (
 
 	"smtflex/internal/buildinfo"
 	"smtflex/internal/core"
-	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
 	"smtflex/internal/perfdiff"
 	"smtflex/internal/validate"
@@ -43,9 +42,7 @@ func main() {
 	engine := flag.String("engine", "interval", "engine: interval or cycle")
 	uops := flag.Uint64("uops", 100_000, "µops per thread for the cycle engine")
 	profUops := flag.Uint64("profile-uops", 200_000, "µops per profiling run for the interval engine")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the run here and print a time-stack report to stderr")
-	machPath := flag.String("machstats", "", "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv")
-	perfsnapDir := flag.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the run")
+	outs := perfdiff.RegisterCLI(flag.CommandLine, "smtsim", "run")
 	xcheck := flag.Bool("xcheck", false, "cross-validate the interval engine against the cycle engine on this workload, print the component-by-component CPI-stack delta table, and exit 1 if any delta exceeds -xcheck-tol")
 	xcheckTol := flag.Float64("xcheck-tol", validate.DefaultTolerance, "cross-check tolerance: max |cycle-interval| per CPI-stack component, as a fraction of total CPI")
 	showVersion := flag.Bool("version", false, "print version information and exit")
@@ -68,22 +65,8 @@ func main() {
 		progs[i] = strings.TrimSpace(progs[i])
 	}
 
-	if *machPath != "" {
-		machstats.Enable()
-	}
-
-	var col *obs.Collector
-	if *tracePath != "" || *perfsnapDir != "" {
-		obs.Enable()
-		col = obs.NewCollector(1)
-	}
-	// With -perfsnap, every snapshot source is armed and a perf snapshot
-	// (the `perfdiff` input) lands in the directory after the run. Arming
-	// never changes the results.
-	var perfArm *perfdiff.CLIArm
-	if *perfsnapDir != "" {
-		perfArm = perfdiff.ArmCLI("smtsim", sim.Study(), col)
-	}
+	// Arming the outputs never changes the results.
+	col := outs.Arm(sim.Study(), 1)
 	tctx, root := obs.StartTrace(context.Background(), col, "smtsim")
 
 	switch {
@@ -96,7 +79,9 @@ func main() {
 		fmt.Print(ck.Render())
 		if !ck.OK() {
 			root.End()
-			dumpMachStats(*machPath)
+			if err := outs.Write(os.Stderr); err != nil {
+				fail(1, "%v", err)
+			}
 			fail(1, "cross-check failed: %d component delta(s) exceed %.1f%% of total CPI",
 				len(ck.Failures()), 100*ck.Tolerance)
 		}
@@ -134,33 +119,7 @@ func main() {
 	}
 
 	root.End()
-	if col != nil && *tracePath != "" {
-		report, err := col.DumpFile(*tracePath)
-		if err != nil {
-			fail(1, "%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "smtsim: wrote trace to %s\n\n%s", *tracePath, report)
+	if err := outs.Write(os.Stderr); err != nil {
+		fail(1, "%v", err)
 	}
-	dumpMachStats(*machPath)
-	if perfArm != nil {
-		path, err := perfArm.WriteDir(*perfsnapDir)
-		if err != nil {
-			fail(1, "perfsnap: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "smtsim: wrote perf snapshot %s\n", path)
-	}
-}
-
-// dumpMachStats writes the armed registry's snapshot next to prefix and
-// prints a one-line summary; a no-op with an empty prefix.
-func dumpMachStats(prefix string) {
-	if prefix == "" {
-		return
-	}
-	snap := machstats.Default().Snapshot()
-	paths, err := snap.WriteFiles(prefix)
-	if err != nil {
-		fail(1, "machstats export: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "smtsim: %s\nsmtsim: wrote %s\n", snap.FormatSummary(), strings.Join(paths, ", "))
 }

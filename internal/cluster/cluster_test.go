@@ -132,12 +132,13 @@ func newWorkerServer(t *testing.T, wrap func(next http.Handler) http.Handler) *h
 }
 
 func testOptions() Options {
-	return Options{Logger: quietLogger(), HedgeDelay: -1}
+	return Options{Logger: quietLogger()}
 }
 
 // newTestCoordinator builds a coordinator on a study of its own over the
 // shared profiles: the shared study's sweep cache holds localSweepJSON's
-// sweep, which a coordinator on it would answer without dispatching.
+// sweep, which a coordinator on it would answer without dispatching. Its
+// hedging is off; a hedging test sets hedgeDelay itself.
 func newTestCoordinator(t *testing.T, urls []string, opts Options) *Coordinator {
 	t.Helper()
 	st := study.New(sharedSim().Source())
@@ -146,6 +147,7 @@ func newTestCoordinator(t *testing.T, urls []string, opts Options) *Coordinator 
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
+	c.hedgeDelay = -1
 	return c
 }
 
@@ -366,9 +368,8 @@ func TestHedgeFiresOnStraggler(t *testing.T) {
 	})
 	defer close(release)
 	healthy := newWorkerServer(t, nil)
-	opts := testOptions()
-	opts.HedgeDelay = 50 * time.Millisecond
-	c := newTestCoordinator(t, []string{straggler.URL, healthy.URL}, opts)
+	c := newTestCoordinator(t, []string{straggler.URL, healthy.URL}, testOptions())
+	c.hedgeDelay = 50 * time.Millisecond
 	got := fleetSweepJSON(t, c)
 	if string(got) != string(want) {
 		t.Fatal("sweep with straggling worker differs from single-process table")
@@ -486,9 +487,8 @@ func TestHedgeTargetCountsAsTried(t *testing.T) {
 		})
 	})
 	healthy := newWorkerServer(t, nil)
-	opts := testOptions()
-	opts.HedgeDelay = 20 * time.Millisecond
-	c := newTestCoordinator(t, []string{primary.URL, corrupting.URL, healthy.URL}, opts)
+	c := newTestCoordinator(t, []string{primary.URL, corrupting.URL, healthy.URL}, testOptions())
+	c.hedgeDelay = 20 * time.Millisecond
 	cl := cellFor(study.Heterogeneous, workload.Mix{ID: "het-mcf-tonto", Programs: []string{"mcf", "tonto"}})
 	resp, err := c.processCell(context.Background(), cl, 0)
 	if err != nil {

@@ -25,10 +25,6 @@ import (
 
 // Options parameterizes a Coordinator. Zero values select defaults.
 type Options struct {
-	// HedgeDelay is how long a dispatch may run before a second attempt is
-	// launched on a different worker (default 3s). Zero selects the default;
-	// negative disables hedging.
-	HedgeDelay time.Duration
 	// StoreCap bounds the fleet result store in cells, LRU-evicted
 	// (0 = unbounded). Assembled sweeps live in the study's sweep cache,
 	// which study.Study.BoundCaches bounds.
@@ -52,6 +48,7 @@ type Options struct {
 const (
 	slotsPerWorker   = 4                // concurrent dispatch slots per worker
 	attemptTimeout   = 60 * time.Second // cap on one dispatch attempt
+	hedgeDelay       = 3 * time.Second  // how long a dispatch runs before a second attempt starts on another worker
 	shedBudget       = 8                // 503 sheds one attempt absorbs (honoring Retry-After) before trying elsewhere
 	breakerThreshold = 3                // consecutive transport failures that trip a worker's breaker open
 	breakerCooldown  = 15 * time.Second // how long an open breaker blocks traffic before a half-open probe
@@ -111,6 +108,9 @@ type Coordinator struct {
 	opts    Options
 	log     *slog.Logger
 	workers []*workerState
+	// hedgeDelay starts as the hedgeDelay constant; the package's tests
+	// shorten it, or make it negative to disable hedging.
+	hedgeDelay time.Duration
 
 	// store is the fleet-level content-addressed result store; hits skip
 	// dispatch entirely.
@@ -143,16 +143,13 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 	if len(workerURLs) == 0 {
 		return nil, ErrNoWorkers
 	}
-	if opts.HedgeDelay == 0 {
-		opts.HedgeDelay = 3 * time.Second
-	}
 	if opts.AuditFraction < 0 || opts.AuditFraction > 1 {
 		return nil, fmt.Errorf("cluster: audit fraction %g outside [0,1]", opts.AuditFraction)
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	c := &Coordinator{st: st, opts: opts, log: opts.Logger}
+	c := &Coordinator{st: st, opts: opts, log: opts.Logger, hedgeDelay: hedgeDelay}
 	for _, u := range workerURLs {
 		// The breaker starts closed: optimistic until a probe or dispatch
 		// says otherwise.
@@ -629,8 +626,8 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int,
 	hedged := false
 
 	var hedgeC <-chan time.Time
-	if c.opts.HedgeDelay > 0 {
-		timer := time.NewTimer(c.opts.HedgeDelay)
+	if c.hedgeDelay > 0 {
+		timer := time.NewTimer(c.hedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}

@@ -1,26 +1,26 @@
 // Package memo provides a concurrency-safe memoizing cache with
 // singleflight duplicate suppression: when several goroutines miss on the
-// same key at once, exactly one runs the compute function while the others
-// block and share its result. Successful results are cached forever by
-// default; failures are not cached, so a later caller retries the
-// computation.
+// same key at once, exactly one compute runs while the others block and
+// share its result. Successful results are cached forever by default;
+// failures are not cached, so a later caller retries the computation.
 //
-// The experiment engine leans on this for the three compute-once tables the
-// parallel sweep hammers — benchmark profiles, solo rates and design
-// sweeps — where a plain check-then-compute cache would let N concurrent
-// misses run the same expensive measurement N times.
+// The experiment engine leans on this for the compute-once tables the
+// parallel sweep hammers — benchmark profiles, solo rates, design sweeps
+// and parallel-application runs — where a plain check-then-compute cache
+// would let N concurrent misses run the same expensive measurement N times.
 //
-// Two additions serve long-running daemons (see internal/server):
+// Every lookup that may compute or wait goes through GetCtx, which threads
+// cancellation through: each caller waits only as long as its own context
+// allows, and when the last interested caller gives up on a key, the shared
+// compute's context is cancelled. A compute that never looks at its context
+// (a profile measurement, say) therefore runs on after its callers have
+// left, and its result is cached for the next caller. Load and Cached only
+// read completed values.
 //
-//   - GetCtx coalesces identical in-flight computations across requests and
-//     threads cancellation through: every waiter is reference-counted, and
-//     when the last interested waiter abandons the key, the shared compute's
-//     context is cancelled so the work stops instead of burning workers for
-//     a client that hung up.
-//   - Bound caps the cache at a maximum number of completed entries with
-//     least-recently-used eviction, so a server's sweep cache cannot grow
-//     without limit across a long request history. Batch CLIs simply never
-//     call Bound and keep the forever-cache semantics.
+// Bound caps the cache at a maximum number of completed entries with
+// least-recently-used eviction, so a server's sweep cache cannot grow
+// without limit across a long request history. Batch CLIs simply never call
+// Bound and keep the forever-cache semantics.
 package memo
 
 import (
@@ -64,9 +64,9 @@ type entry[V any] struct {
 	val  V
 	err  error
 
-	// waiters counts GetCtx callers currently interested in this entry;
-	// cancel (set only for GetCtx-created entries) aborts the compute when
-	// the count drops to zero before completion.
+	// waiters counts callers currently interested in this entry; cancel
+	// (nil for entries made by Put) aborts the compute when the count drops
+	// to zero before completion.
 	waiters int
 	cancel  context.CancelFunc
 	// elem is the entry's node in the LRU list; nil while in flight or when
@@ -171,87 +171,24 @@ func (c *Cache[K, V]) Counters() Counters {
 	}
 }
 
-// Get returns the cached value for key, computing it with compute on the
-// first call. Concurrent calls for the same key run compute exactly once and
-// all receive its result. compute must not call Get for the same key on the
+// GetCtx returns the cached value for key, computing it with compute on the
+// first call. Identical in-flight calls coalesce onto one compute, and each
+// caller waits only as long as its own ctx allows. The compute runs on a
+// goroutine of its own, under a context that is cancelled when every caller
+// interested in the key has gone — so abandoning a request stops the shared
+// work, but only once nobody else still wants the result. A compute aborted
+// that way is uncached like any failure; a later caller with a live context
+// transparently restarts it. compute must not look up the same key on the
 // same cache (it would deadlock); distinct keys may recurse freely, and the
 // cache's lock is never held while compute runs.
-func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
-	return c.get(context.Background(), key, func(context.Context) (V, error) { return compute() })
-}
-
-// GetTraced is Get with observability: when the context carries an active
-// trace, the time a lookup actually spends working is recorded as a
-// "memo.get" span annotated with the cache name and outcome — "compute" for
-// the caller that runs compute (whose own spans nest inside), "coalesced"
-// for callers that block on another's in-flight compute. Lookups served
-// instantly from a completed entry are counted (see Counters) but NOT
-// spanned: a hot sweep performs thousands of nanosecond hits, and spanning
-// them would flood the trace's span budget with zero-duration noise.
-// Lookup semantics are identical to Get — the two share the same
-// singleflight entries.
-func (c *Cache[K, V]) GetTraced(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
-	return c.get(ctx, key, compute)
-}
-
-// get implements Get and GetTraced; ctx carries the parent span, if any.
-func (c *Cache[K, V]) get(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
-	c.mu.Lock()
-	c.init()
-	if e, ok := c.m[key]; ok {
-		c.hits.Add(1)
-		c.touchLocked(e)
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			// Completed entry: a pure hit, counted but not spanned.
-		default:
-			c.coalesced.Add(1)
-			_, sp := obs.StartSpan(ctx, "memo.get")
-			sp.SetAttr("cache", c.label())
-			sp.SetAttr("outcome", "coalesced")
-			<-e.done
-			sp.End()
-		}
-		<-e.done
-		return e.val, e.err
-	}
-	c.misses.Add(1)
-	e := &entry[V]{done: make(chan struct{})}
-	c.m[key] = e
-	c.mu.Unlock()
-
-	sctx, sp := obs.StartSpan(ctx, "memo.get")
-	sp.SetAttr("cache", c.label())
-	sp.SetAttr("outcome", "compute")
-	e.val, e.err = protect(func() (V, error) { return compute(sctx) })
-	sp.End()
-	c.mu.Lock()
-	if e.err != nil {
-		// Leave failures uncached so the next caller can retry.
-		if cur, ok := c.m[key]; ok && cur == e {
-			delete(c.m, key)
-		}
-	} else if cur, ok := c.m[key]; ok && cur == e {
-		// Not replaced by Put while computing: track for eviction.
-		c.recordLocked(key, e)
-	}
-	c.mu.Unlock()
-	close(e.done)
-	return e.val, e.err
-}
-
-// GetCtx is Get with cancellation: identical in-flight calls coalesce onto
-// one compute, and each caller waits only as long as its own ctx allows. The
-// compute runs under a context of its own that is cancelled when every
-// caller interested in the key has gone — so abandoning a request stops the
-// shared work, but only once nobody else still wants the result. A compute
-// aborted that way is uncached like any failure; a later caller with a live
-// context transparently restarts it.
 //
-// Entries created by GetCtx must not be awaited with plain Get on the same
-// key (Get does not register as an interested waiter, so the compute could
-// be cancelled underneath it).
+// When ctx carries an active trace, the time a lookup spends waiting is
+// recorded as a "memo.get" span annotated with the cache name and outcome —
+// "compute" for the caller that starts compute (whose own spans nest
+// inside), "coalesced" for callers that join an in-flight compute. Lookups
+// served from a completed entry are counted (see Counters) but NOT spanned:
+// a hot sweep performs thousands of nanosecond hits, and spanning them would
+// flood the trace's span budget with zero-duration noise.
 func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -261,7 +198,7 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Co
 		c.init()
 		e, ok := c.m[key]
 		// sp times the caller's wait on a compute or coalesced entry; pure
-		// hits are counted but not spanned (see GetTraced).
+		// hits are counted but not spanned.
 		var sp *obs.Span
 		if ok {
 			c.hits.Add(1)
@@ -340,25 +277,38 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Co
 	}
 }
 
-// Cached returns the completed value for key, if present, counting a hit
-// when it is and a miss when it is not. It does not wait for an in-flight
-// computation.
-func (c *Cache[K, V]) Cached(key K) (V, bool) {
+// Load returns the completed value for key, if present, counting a hit. When
+// it is not, Load counts nothing and reports false, and the caller looks the
+// key up through GetCtx, which counts the miss or joins the compute in
+// flight. GetCtx's compute escapes to the heap, since it runs on a goroutine
+// of its own, so a caller on a hot path probes with Load first and builds
+// its compute closure only on a miss.
+func (c *Cache[K, V]) Load(key K) (V, bool) {
 	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
 		select {
 		case <-e.done:
 			if e.err == nil {
 				c.hits.Add(1)
+				c.touchLocked(e)
 				return e.val, true
 			}
 		default:
 		}
 	}
-	c.misses.Add(1)
 	return *new(V), false
+}
+
+// Cached is Load for a store whose values are computed elsewhere and Put:
+// it counts a miss when key has no completed value. It does not wait for an
+// in-flight computation.
+func (c *Cache[K, V]) Cached(key K) (V, bool) {
+	v, ok := c.Load(key)
+	if !ok {
+		c.misses.Add(1)
+	}
+	return v, ok
 }
 
 // Put stores a completed value for key, replacing any finished entry. It is

@@ -13,11 +13,11 @@ func TestCountersTrackHitsMissesCoalesced(t *testing.T) {
 	var c Cache[int, int]
 	c.Name = "profiles"
 
-	if _, err := c.Get(1, func() (int, error) { return 10, nil }); err != nil {
+	if _, err := c.GetCtx(context.Background(), 1, func(context.Context) (int, error) { return 10, nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get(1, func() (int, error) { return 10, nil }); err != nil {
+		if _, err := c.GetCtx(context.Background(), 1, func(context.Context) (int, error) { return 10, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,7 +30,7 @@ func TestCountersTrackHitsMissesCoalesced(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Get(2, func() (int, error) { close(started); <-release; return 20, nil })
+		c.GetCtx(context.Background(), 2, func(context.Context) (int, error) { close(started); <-release; return 20, nil })
 	}()
 	<-started
 	const followers = 10
@@ -38,7 +38,7 @@ func TestCountersTrackHitsMissesCoalesced(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v, err := c.Get(2, func() (int, error) { return -1, nil }); err != nil || v != 20 {
+			if v, err := c.GetCtx(context.Background(), 2, func(context.Context) (int, error) { return -1, nil }); err != nil || v != 20 {
 				panic("follower got wrong value") // panicgate:allow — test goroutine
 			}
 		}()
@@ -65,10 +65,10 @@ func TestCountersDefaultName(t *testing.T) {
 	}
 }
 
-// TestGetTracedSpans verifies the memo.get span policy: outcome=compute on a
-// miss (with the compute's own spans nested inside) and NO span on a pure
-// hit — hits are nanosecond lookups counted by Counters, and spanning them
-// would flood a hot sweep's span budget.
+// TestGetTracedSpans verifies GetCtx's memo.get span policy: outcome=compute
+// on a miss (with the compute's own spans nested inside) and NO span on a
+// pure hit — hits are nanosecond lookups counted by Counters, and spanning
+// them would flood a hot sweep's span budget.
 func TestGetTracedSpans(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -82,10 +82,10 @@ func TestGetTracedSpans(t *testing.T) {
 		inner.End()
 		return 7, nil
 	}
-	if v, err := c.GetTraced(ctx, 1, compute); err != nil || v != 7 {
+	if v, err := c.GetCtx(ctx, 1, compute); err != nil || v != 7 {
 		t.Fatalf("miss: %v %v", v, err)
 	}
-	if v, err := c.GetTraced(ctx, 1, compute); err != nil || v != 7 {
+	if v, err := c.GetCtx(ctx, 1, compute); err != nil || v != 7 {
 		t.Fatalf("hit: %v %v", v, err)
 	}
 	root.End()

@@ -13,7 +13,7 @@ func TestGetMemoizes(t *testing.T) {
 	var c Cache[string, int]
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, err := c.Get("k", func() (int, error) { calls++; return 42, nil })
+		v, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { calls++; return 42, nil })
 		if err != nil || v != 42 {
 			t.Fatalf("got %d, %v", v, err)
 		}
@@ -39,7 +39,7 @@ func TestConcurrentMissesComputeOnce(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, err := c.Get("k", func() (int, error) {
+			v, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) {
 				calls.Add(1)
 				release.Wait() // hold every other goroutine in the miss path
 				return 7, nil
@@ -69,7 +69,7 @@ func TestDistinctKeysIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			v, err := c.Get(k, func() (int, error) { return k * k, nil })
+			v, err := c.GetCtx(context.Background(), k, func(context.Context) (int, error) { return k * k, nil })
 			if err != nil || v != k*k {
 				t.Errorf("key %d: got %d, %v", k, v, err)
 			}
@@ -85,10 +85,10 @@ func TestErrorsNotCached(t *testing.T) {
 	var c Cache[string, int]
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := c.Get("k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	v, err := c.Get("k", func() (int, error) { calls++; return 9, nil })
+	v, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { calls++; return 9, nil })
 	if err != nil || v != 9 {
 		t.Fatalf("retry got %d, %v", v, err)
 	}
@@ -102,16 +102,44 @@ func TestCached(t *testing.T) {
 	if _, ok := c.Cached("k"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	if _, err := c.Get("k", func() (int, error) { return 5, nil }); err != nil {
+	if _, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := c.Cached("k")
 	if !ok || v != 5 {
 		t.Fatalf("Cached = %d, %t", v, ok)
 	}
-	// One miss each for the empty lookup and Get's compute, one hit.
+	// One miss each for the empty lookup and GetCtx's compute, one hit.
 	if got := c.Counters(); got.Hits != 1 || got.Misses != 2 {
 		t.Fatalf("Counters() = %+v, want 1 hit and 2 misses", got)
+	}
+}
+
+// TestLoadCountsOnlyCachedHits: Load counts a hit on a completed value and
+// nothing otherwise, so a Load probe before GetCtx leaves the counters as
+// GetCtx alone would; it never waits for a compute in flight.
+func TestLoadCountsOnlyCachedHits(t *testing.T) {
+	var c Cache[string, int]
+	if _, ok := c.Load("k"); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { close(started); <-release; return 5, nil })
+	}()
+	<-started
+	if _, ok := c.Load("k"); ok {
+		t.Fatal("Load reported a compute in flight as a hit")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Load("k"); !ok || v != 5 {
+		t.Fatalf("Load = %d, %t; want 5, true", v, ok)
+	}
+	if got := c.Counters(); got.Hits != 1 || got.Misses != 1 || got.Coalesced != 0 {
+		t.Fatalf("Counters() = %+v, want 1 hit and 1 miss", got)
 	}
 }
 
@@ -234,15 +262,15 @@ func TestBoundEvictsLRU(t *testing.T) {
 	var c Cache[int, int]
 	c.Bound(3)
 	for k := 0; k < 3; k++ {
-		if _, err := c.Get(k, func() (int, error) { return k, nil }); err != nil {
+		if _, err := c.GetCtx(context.Background(), k, func(context.Context) (int, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch key 0 so key 1 is now least recently used.
-	if _, err := c.Get(0, func() (int, error) { return -1, nil }); err != nil {
+	if _, err := c.GetCtx(context.Background(), 0, func(context.Context) (int, error) { return -1, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(3, func() (int, error) { return 3, nil }); err != nil {
+	if _, err := c.GetCtx(context.Background(), 3, func(context.Context) (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 3 {
@@ -258,7 +286,7 @@ func TestBoundEvictsLRU(t *testing.T) {
 	}
 	// An evicted key recomputes on demand.
 	recomputed := false
-	if _, err := c.Get(1, func() (int, error) { recomputed = true; return 1, nil }); err != nil {
+	if _, err := c.GetCtx(context.Background(), 1, func(context.Context) (int, error) { recomputed = true; return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !recomputed {

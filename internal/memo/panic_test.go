@@ -16,7 +16,7 @@ import (
 
 func TestGetContainsPanic(t *testing.T) {
 	var c Cache[string, int]
-	_, err := c.Get("k", func() (int, error) { panic("boom") })
+	_, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { panic("boom") })
 	if !errors.Is(err, ErrComputePanic) {
 		t.Fatalf("got %v, want ErrComputePanic", err)
 	}
@@ -26,8 +26,8 @@ func TestGetContainsPanic(t *testing.T) {
 	if !strings.Contains(err.Error(), "panic_test.go") {
 		t.Fatalf("stack trace missing from %q", err)
 	}
-	// The failure is not cached: the next Get retries and succeeds.
-	v, err := c.Get("k", func() (int, error) { return 7, nil })
+	// The failure is not cached: the next lookup retries and succeeds.
+	v, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry after panic: v=%d err=%v", v, err)
 	}
@@ -60,7 +60,7 @@ func TestConcurrentWaitersAllSeePanic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = c.Get("k", func() (int, error) {
+			_, errs[g] = c.GetCtx(context.Background(), "k", func(context.Context) (int, error) {
 				<-release
 				panic("shared boom")
 			})
@@ -85,20 +85,20 @@ func TestInjectedErrorRetried(t *testing.T) {
 
 	var c Cache[string, int]
 	calls := 0
-	compute := func() (int, error) { calls++; return 5, nil }
+	compute := func(context.Context) (int, error) { calls++; return 5, nil }
 
-	if _, err := c.Get("k", compute); !errors.Is(err, faults.ErrInjected) {
+	if _, err := c.GetCtx(context.Background(), "k", compute); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("got %v, want injected error", err)
 	}
 	if calls != 0 {
 		t.Fatal("injection fired after the compute ran")
 	}
-	v, err := c.Get("k", compute)
+	v, err := c.GetCtx(context.Background(), "k", compute)
 	if err != nil || v != 5 || calls != 1 {
 		t.Fatalf("retry: v=%d err=%v calls=%d", v, err, calls)
 	}
 	// Now cached: no further computes.
-	if _, err := c.Get("k", compute); err != nil || calls != 1 {
+	if _, err := c.GetCtx(context.Background(), "k", compute); err != nil || calls != 1 {
 		t.Fatalf("cached read recomputed (calls=%d, err=%v)", calls, err)
 	}
 }
@@ -109,10 +109,10 @@ func TestInjectedPanicContained(t *testing.T) {
 	faults.Enable(faults.SiteMemo, faults.Injection{Mode: faults.ModePanic, Count: 1})
 
 	var c Cache[string, int]
-	if _, err := c.Get("k", func() (int, error) { return 1, nil }); !errors.Is(err, ErrComputePanic) {
+	if _, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { return 1, nil }); !errors.Is(err, ErrComputePanic) {
 		t.Fatalf("injected panic not contained: %v", err)
 	}
-	v, err := c.Get("k", func() (int, error) { return 1, nil })
+	v, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { return 1, nil })
 	if err != nil || v != 1 {
 		t.Fatalf("retry after injected panic: v=%d err=%v", v, err)
 	}

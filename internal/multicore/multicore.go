@@ -214,9 +214,10 @@ func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 	return out
 }
 
-// runOne runs a one-thread chip, every profiling run: with nothing to
-// schedule, the thread steps until it has retired target µops, or once if
-// it already has, exactly as runShared would step it.
+// runOne runs a one-thread chip, such as a one-program cycle-engine or
+// cross-check run (profiling steps its chips in lockstep passes, not through
+// Run): with nothing to schedule, the thread steps until it has retired
+// target µops, or once if it already has, exactly as runShared would step it.
 func (c *Chip) runOne(target uint64) {
 	loc := c.threads[0]
 	core := c.cores[loc.core]

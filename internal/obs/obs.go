@@ -34,7 +34,7 @@ import (
 // dropped and counted (the root is exempt — see End), so a runaway campaign
 // cannot hold the whole sweep grid in memory. A cold 288-cell fleet sweep
 // stitched 1,907 spans, which flight records are read from; cache hits are
-// counted, not spanned (memo.GetTraced), so span volume tracks real work.
+// counted, not spanned (memo.Cache.GetCtx), so span volume tracks real work.
 const maxSpansPerTrace = 8192
 
 // enabled is the disabled-path gate, mirroring internal/faults.active.

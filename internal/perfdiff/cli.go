@@ -1,6 +1,12 @@
 package perfdiff
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+
 	"smtflex/internal/machstats"
 	"smtflex/internal/memo"
 	"smtflex/internal/obs"
@@ -14,48 +20,95 @@ type Engine interface {
 	CacheCounters() []memo.Counters
 }
 
-// CLIArm holds every snapshot source armed for a command-line run. Arm once
-// before the campaign, WriteDir once after it; the armed sources never
-// change the engine's output (pinned by TestSweepBitIdenticalWithPerfsnap).
-type CLIArm struct {
-	role        string
-	eng         Engine
-	col         *obs.Collector
-	solverIters *obs.Histogram
-	poolQueue   *obs.Histogram
+// CLI is the -trace, -machstats and -perfsnap outputs of a batch command
+// (figures, report, smtsim): RegisterCLI declares the flags, Arm enables
+// what they ask for before the work, and Write writes and reports every
+// output after it. Arming never changes the command's results (pinned by
+// TestSweepBitIdenticalWithPerfsnap).
+type CLI struct {
+	role                   string
+	trace, mach, perfsnap  *string
+	eng                    Engine
+	col                    *obs.Collector
+	solverIters, poolQueue *obs.Histogram
 }
 
-// ArmCLI enables tracing and machine counters and registers the engine
-// histograms, sharing col with the command's own tracing when it already has
-// a collector (a span reports to one collector, and the snapshot should see
-// the same traces the -trace file gets).
-func ArmCLI(role string, eng Engine, col *obs.Collector) *CLIArm {
-	obs.Enable()
-	machstats.Enable()
-	a := &CLIArm{
-		role:        role,
-		eng:         eng,
-		col:         col,
-		solverIters: obs.NewHistogram(SolverIterBuckets),
-		poolQueue:   obs.NewHistogram(QueueSecondsBuckets),
+// RegisterCLI registers the three output flags on fs for the command role,
+// whose help texts call one invocation a what ("campaign" or "run").
+func RegisterCLI(fs *flag.FlagSet, role, what string) *CLI {
+	machHelp := "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv"
+	if what == "campaign" {
+		machHelp += " after the campaign"
 	}
-	eng.SetEngineHistograms(a.solverIters, a.poolQueue)
-	return a
+	return &CLI{
+		role:     role,
+		trace:    fs.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the "+what+" here and print a time-stack report to stderr"),
+		mach:     fs.String("machstats", "", machHelp),
+		perfsnap: fs.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the "+what),
+	}
 }
 
-// WriteDir captures the armed sources into a timestamped snapshot file under
-// dir and returns its path.
-func (a *CLIArm) WriteDir(dir string) (string, error) {
-	mach := machstats.Default().Snapshot()
-	snap := Capture(CaptureOpts{
-		Role:   a.role,
-		Traces: a.col.Snapshots(),
-		Mach:   &mach,
-		Histograms: []HistogramState{
-			HistState(HistSolverIterations, a.solverIters.Snapshot()),
-			HistState(HistPoolQueueSeconds, a.poolQueue.Snapshot()),
-		},
-		Caches: a.eng.CacheCounters(),
-	})
-	return snap.WriteDir(dir, a.role)
+// Arm enables tracing, machine counters and engine histograms as the flags
+// ask, and returns the collector that root spans report to: one of up to
+// traces traces, or nil when neither -trace nor -perfsnap is set. The
+// snapshot shares the -trace file's collector, so both see the same traces.
+func (c *CLI) Arm(eng Engine, traces int) *obs.Collector {
+	c.eng = eng
+	if *c.mach != "" || *c.perfsnap != "" {
+		machstats.Enable()
+	}
+	if *c.trace != "" || *c.perfsnap != "" {
+		obs.Enable()
+		c.col = obs.NewCollector(traces)
+	}
+	if *c.perfsnap != "" {
+		c.solverIters = obs.NewHistogram(SolverIterBuckets)
+		c.poolQueue = obs.NewHistogram(QueueSecondsBuckets)
+		eng.SetEngineHistograms(c.solverIters, c.poolQueue)
+	}
+	return c.col
+}
+
+// Write writes every output the flags ask for and reports each on stderr.
+// A failed output does not stop the others; the error joins every failure.
+func (c *CLI) Write(stderr io.Writer) error {
+	var errs []error
+	if *c.trace != "" {
+		report, err := c.col.DumpFile(*c.trace)
+		if err != nil {
+			errs = append(errs, err)
+		} else {
+			fmt.Fprintf(stderr, "%s: wrote %d trace(s) to %s\n\n%s", c.role, c.col.Len(), *c.trace, report)
+		}
+	}
+	if *c.mach != "" || *c.perfsnap != "" {
+		mach := machstats.Default().Snapshot()
+		if *c.mach != "" {
+			paths, err := mach.WriteFiles(*c.mach)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("machstats export: %w", err))
+			} else {
+				fmt.Fprintf(stderr, "%s: %s\n%s: wrote %s\n", c.role, mach.FormatSummary(), c.role, strings.Join(paths, ", "))
+			}
+		}
+		if *c.perfsnap != "" {
+			snap := Capture(CaptureOpts{
+				Role:   c.role,
+				Traces: c.col.Snapshots(),
+				Mach:   &mach,
+				Histograms: []HistogramState{
+					HistState(HistSolverIterations, c.solverIters.Snapshot()),
+					HistState(HistPoolQueueSeconds, c.poolQueue.Snapshot()),
+				},
+				Caches: c.eng.CacheCounters(),
+			})
+			path, err := snap.WriteDir(*c.perfsnap, c.role)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("perfsnap: %w", err))
+			} else {
+				fmt.Fprintf(stderr, "%s: wrote perf snapshot %s\n", c.role, path)
+			}
+		}
+	}
+	return errors.Join(errs...)
 }

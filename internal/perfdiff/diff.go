@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"smtflex/internal/benchjson"
 	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
 )
@@ -35,9 +34,6 @@ type Thresholds struct {
 	QuantileMin float64
 	// Quantiles lists the probed quantiles. Empty means p50/p95/p99.
 	Quantiles []float64
-	// Bench gates embedded benchjson reports with the existing compare
-	// semantics.
-	Bench benchjson.Thresholds
 }
 
 // DefaultThresholds is the gate tuned for same-machine before/after captures:
@@ -52,19 +48,18 @@ func DefaultThresholds() Thresholds {
 		QuantilePct: 100,
 		QuantileMin: 1e-3,
 		Quantiles:   []float64{0.5, 0.95, 0.99},
-		Bench:       benchjson.DefaultThresholds(),
 	}
 }
 
 // Delta is one attributed difference between the snapshots.
 type Delta struct {
-	// Kind is "phase", "cpi", "quantile", or "bench".
+	// Kind is "phase", "fleet-phase", "cpi" or "quantile".
 	Kind string `json:"kind"`
-	// Group locates the delta: trace group (phase), engine (cpi), histogram
-	// name (quantile), or benchmark name (bench).
+	// Group locates the delta: trace group (phase), engine (cpi) or
+	// histogram name (quantile).
 	Group string `json:"group"`
-	// Metric names what moved: a time-stack category, a CPI component, a
-	// quantile label ("p95"), or a bench metric ("ns/op").
+	// Metric names what moved: a time-stack category, a CPI component or a
+	// quantile label ("p95").
 	Metric string `json:"metric"`
 	// Baseline and Current are the metric's values.
 	Baseline float64 `json:"baseline"`
@@ -73,7 +68,7 @@ type Delta struct {
 	Unit string `json:"unit,omitempty"`
 	// Exceeds marks deltas past their threshold — the regressions.
 	Exceeds bool `json:"exceeds"`
-	// Note carries context ("missing from current run", "new in current").
+	// Note carries context ("missing from current", "new in current").
 	Note string `json:"note,omitempty"`
 }
 
@@ -124,11 +119,6 @@ func Diff(base, cur *Snapshot, th Thresholds) (*Report, error) {
 	rep.Deltas = append(rep.Deltas, diffPhases("fleet-phase", base.FleetStacks, cur.FleetStacks, th)...)
 	rep.Deltas = append(rep.Deltas, diffCPI(base.MachStats, cur.MachStats, th)...)
 	rep.Deltas = append(rep.Deltas, diffQuantiles(base.Histograms, cur.Histograms, th)...)
-	bench, err := diffBench(base.Bench, cur.Bench, th)
-	if err != nil {
-		return nil, err
-	}
-	rep.Deltas = append(rep.Deltas, bench...)
 
 	sort.SliceStable(rep.Deltas, func(i, j int) bool {
 		a, b := rep.Deltas[i], rep.Deltas[j]
@@ -301,31 +291,6 @@ func diffQuantiles(base, cur []HistogramState, th Thresholds) []Delta {
 		}
 	}
 	return out
-}
-
-// diffBench converts benchjson regressions to deltas when both snapshots
-// embed a report. One side missing is fine (CLI snapshots rarely carry
-// bench results); both present but un-comparable is an error.
-func diffBench(base, cur *benchjson.Report, th Thresholds) ([]Delta, error) {
-	if base == nil || cur == nil {
-		return nil, nil
-	}
-	regs, err := benchjson.Compare(base, cur, th.Bench)
-	if err != nil {
-		return nil, fmt.Errorf("perfdiff: bench compare: %w", err)
-	}
-	out := make([]Delta, 0, len(regs))
-	for _, r := range regs {
-		d := Delta{
-			Kind: "bench", Group: r.Name, Metric: r.Metric,
-			Baseline: r.Baseline, Current: r.Current, Exceeds: true,
-		}
-		if r.Metric == "missing" {
-			d.Note = "missing from current run"
-		}
-		out = append(out, d)
-	}
-	return out, nil
 }
 
 // RenderText formats the report as the human-facing attribution table,

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"smtflex/internal/benchjson"
 	"smtflex/internal/config"
 	"smtflex/internal/contention"
 	"smtflex/internal/faults"
@@ -222,7 +221,6 @@ func lockedSnapshot() *perfdiff.Snapshot {
 		},
 		Histograms: []perfdiff.HistogramState{{Name: "h", Bounds: []float64{1}, Cumulative: []int64{1}, Count: 1, Sum: 1}},
 		Caches:     []perfdiff.CacheCounter{{Name: "p", Hits: 1, Misses: 2, Coalesced: 3, Entries: 4}},
-		Bench:      &benchjson.Report{Results: []benchjson.Result{{Name: "B", Procs: 1, Iterations: 1, NsPerOp: 2}}},
 		Profiles:   []perfdiff.Profile{{Kind: "cpu", CapturedAt: time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC), DurMs: 100, Data: []byte{1}}},
 	}
 }
@@ -242,7 +240,7 @@ func TestSnapshotSchemaLocked(t *testing.T) {
 	}
 	wantKeys := []string{
 		"schema_version", "captured_at", "build", "role", "time_stacks",
-		"machstats", "histograms", "caches", "bench", "profiles",
+		"machstats", "histograms", "caches", "profiles",
 	}
 	for _, k := range wantKeys {
 		if _, ok := doc[k]; !ok {
@@ -347,65 +345,29 @@ func TestValidateRejectsMalformedHistogram(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsEmptyBench: a snapshot embedding a bench report with no
-// results read fine and then failed every Diff, itself included.
-func TestValidateRejectsEmptyBench(t *testing.T) {
-	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(`{"schema_version":1,"bench":{}}`))); err == nil {
-		t.Fatal("bench report with no results accepted")
-	}
-}
-
 func TestReadAutoWrapsBenchReport(t *testing.T) {
 	dir := t.TempDir()
-	s, err := perfdiff.ReadAuto(writeDoc(t, []byte(benchDoc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Bench == nil || len(s.Bench.Results) != 1 || s.Bench.Results[0].Name != "BenchmarkX" {
-		t.Fatalf("benchjson not wrapped: %+v", s)
+	// A bench report is benchjson -compare's to gate, and the refusal says so.
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(benchDoc))); err == nil || !strings.Contains(err.Error(), "benchjson -compare") {
+		t.Fatalf("bench report: err %v, want a refusal naming benchjson -compare", err)
 	}
 	// A real snapshot reads through the same entry point.
 	snapPath := filepath.Join(dir, "snap.json")
 	if err := perfdiff.Capture(perfdiff.CaptureOpts{Role: "x"}).WriteFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if s, err = perfdiff.ReadAuto(snapPath); err != nil || s.Role != "x" {
+	s, err := perfdiff.ReadAuto(snapPath)
+	if err != nil || s.Role != "x" {
 		t.Fatalf("snapshot through ReadAuto: %v %+v", err, s)
+	}
+	// A snapshot written while schema 1 still embedded bench reports reads
+	// with that key ignored.
+	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(`{"schema_version":1,"bench":{"results":[]}}`))); err != nil {
+		t.Fatalf("snapshot with a bench key: %v", err)
 	}
 	// Garbage is neither.
 	if _, err := perfdiff.ReadAuto(writeDoc(t, []byte(garbageDoc))); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestDiffBenchEmbedded(t *testing.T) {
-	mkSnap := func(ns, allocs float64) *perfdiff.Snapshot {
-		return perfdiff.Capture(perfdiff.CaptureOpts{Bench: &benchjson.Report{Results: []benchjson.Result{{
-			Name: "BenchmarkSolve", Procs: 1, Iterations: 10, NsPerOp: ns,
-			Metrics: map[string]float64{"allocs/op": allocs},
-		}}}})
-	}
-	rep, err := perfdiff.Diff(mkSnap(10_000, 0), mkSnap(100_000, 500), perfdiff.DefaultThresholds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Exceeded == 0 {
-		t.Fatalf("10x ns/op + 500 allocs not flagged\n%s", rep.RenderText())
-	}
-	var kinds []string
-	for _, d := range rep.Deltas {
-		if d.Exceeds {
-			kinds = append(kinds, d.Kind+"/"+d.Metric)
-		}
-	}
-	want := map[string]bool{"bench/ns/op": false, "bench/allocs/op": false}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	for k, hit := range want {
-		if !hit {
-			t.Errorf("expected exceeding delta %s, got %v", k, kinds)
-		}
 	}
 }
 

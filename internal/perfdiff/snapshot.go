@@ -1,9 +1,10 @@
 // Package perfdiff is the performance-observability layer: versioned perf
 // snapshots bundling the engine's runtime self-measurements (obs time stacks,
 // machstats counters and CPI stacks, solver/queue histograms, memo cache
-// counters, bench results, pprof profiles), and differential attribution
-// between two snapshots — the instrument that turns "we regressed" into
-// "contention.solve regressed".
+// counters, pprof profiles), and differential attribution between two
+// snapshots — the instrument that turns "we regressed" into
+// "contention.solve regressed". Bench reports are not snapshots: they are
+// compared by benchjson -compare alone.
 //
 // The design applies the paper's own methodology to the simulator itself:
 // Eyerman-style CPI stacks decompose cycles into named components so a change
@@ -24,10 +25,8 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"smtflex/internal/journal"
-
-	"smtflex/internal/benchjson"
 	"smtflex/internal/buildinfo"
+	"smtflex/internal/journal"
 	"smtflex/internal/machstats"
 	"smtflex/internal/memo"
 	"smtflex/internal/obs"
@@ -143,9 +142,6 @@ type Snapshot struct {
 	Histograms []HistogramState `json:"histograms,omitempty"`
 	// Caches is the memo cache counter state.
 	Caches []CacheCounter `json:"caches,omitempty"`
-	// Bench embeds a benchjson report when the capture had one (CI attaches
-	// the current run so perfdiff can attribute a bench regression).
-	Bench *benchjson.Report `json:"bench,omitempty"`
 	// Profiles carries optional pprof captures (?pprof=1).
 	Profiles []Profile `json:"profiles,omitempty"`
 }
@@ -159,7 +155,6 @@ type CaptureOpts struct {
 	Mach        *machstats.Snapshot
 	Histograms  []HistogramState
 	Caches      []memo.Counters
-	Bench       *benchjson.Report
 	Profiles    []Profile
 }
 
@@ -175,7 +170,6 @@ func Capture(o CaptureOpts) *Snapshot {
 		MachStats:     o.Mach,
 		Histograms:    o.Histograms,
 		Caches:        CacheCounters(o.Caches),
-		Bench:         o.Bench,
 		Profiles:      o.Profiles,
 	}
 	if len(o.Traces) > 0 {
@@ -184,9 +178,8 @@ func Capture(o CaptureOpts) *Snapshot {
 	return s
 }
 
-// Validate checks the schema stamp, the histograms' shape and that an
-// embedded bench report has results (as benchjson's own reader demands).
-// Diff and ReadAuto call it so a hand-edited or cross-generation document
+// Validate checks the schema stamp and the histograms' shape. Diff and
+// ReadAuto call it so a hand-edited or cross-generation document
 // fails loudly instead of crashing the quantile math.
 func (s *Snapshot) Validate() error {
 	if s == nil {
@@ -201,9 +194,6 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("perfdiff: histogram %q has %d cumulative counts for %d bounds",
 				h.Name, len(h.Cumulative), len(h.Bounds))
 		}
-	}
-	if s.Bench != nil && len(s.Bench.Results) == 0 {
-		return fmt.Errorf("perfdiff: embedded bench report: %w", benchjson.ErrNoResults)
 	}
 	return nil
 }
@@ -258,9 +248,9 @@ func (s *Snapshot) WriteDir(dir, prefix string) (string, error) {
 	return path, nil
 }
 
-// ReadAuto reads a perf snapshot, falling back to a raw benchjson report
-// wrapped as a bench-only snapshot — so CI can hand perfdiff the same
-// documents the bench job already produces without a conversion step.
+// ReadAuto reads and validates a perf snapshot. A document without a
+// schema stamp, such as a benchjson report, is refused with an error that
+// names benchjson -compare, the one comparison of bench reports.
 func ReadAuto(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -271,24 +261,16 @@ func ReadAuto(path string) (*Snapshot, error) {
 
 // decodeAuto is ReadAuto after the read; path only labels errors.
 func decodeAuto(data []byte, path string) (*Snapshot, error) {
-	probe := struct {
-		SchemaVersion *int `json:"schema_version"`
-	}{}
-	if err := json.Unmarshal(data, &probe); err == nil && probe.SchemaVersion != nil {
-		s := &Snapshot{}
-		if err := json.Unmarshal(data, s); err != nil {
-			return nil, fmt.Errorf("perfdiff: parse snapshot %s: %w", path, err)
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil
+	s := &Snapshot{}
+	if err := json.Unmarshal(data, s); err != nil {
+		return nil, fmt.Errorf("perfdiff: parse snapshot %s: %w", path, err)
 	}
-	rep, err := benchjson.DecodeJSON(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("perfdiff: %s is neither a perf snapshot nor a benchjson report: %w", path, err)
+	if s.SchemaVersion == 0 {
+		return nil, fmt.Errorf("perfdiff: %s is not a perf snapshot (no schema_version); compare bench reports with benchjson -compare", path)
 	}
-	s := Capture(CaptureOpts{Role: "benchjson", Bench: rep})
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return s, nil
 }
 

@@ -144,18 +144,30 @@ func (s *Source) Profile(spec trace.Spec, ct config.CoreType) (*interval.Profile
 	return s.ProfileCtx(context.Background(), spec, ct)
 }
 
-// ProfileCtx is Profile with tracing: when ctx carries an active trace, a
-// profile cache miss is recorded as a "profiler.profile" span nested under
-// the cache's memo.get span, and an actual measurement as a
-// "profiler.measure" span below it. Cache hits — the overwhelming majority
-// once the engine is warm — are not spanned; see memo.GetTraced. The profile
-// returned is identical to Profile's; the context is observational only and
-// does not cancel a measurement.
+// ProfileCtx is Profile with tracing and cancellation: when ctx carries an
+// active trace, a profile cache miss is recorded as a "profiler.profile"
+// span nested under the cache's memo.get span, and an actual measurement as
+// a "profiler.measure" span below it. Cache hits — the overwhelming majority
+// once the engine is warm — are not spanned; see memo.Cache.GetCtx. The
+// profile returned is identical to Profile's. A caller whose ctx is done
+// stops waiting and gets ctx's error; the measurement runs on and is cached.
 func (s *Source) ProfileCtx(ctx context.Context, spec trace.Spec, ct config.CoreType) (*interval.Profile, error) {
 	if ct >= config.NumCoreTypes {
 		return nil, fmt.Errorf("profiler: unknown core type %v", ct)
 	}
-	return s.profiles.GetTraced(ctx, profileKey{bench: spec.Name, core: ct}, func(ctx context.Context) (*interval.Profile, error) {
+	key := profileKey{bench: spec.Name, core: ct}
+	if p, ok := s.profiles.Load(key); ok {
+		return p, nil
+	}
+	return s.profileMiss(ctx, key, spec)
+}
+
+// profileMiss is ProfileCtx past a failed Load. It is a function of its own
+// because its compute closure captures spec: that moves spec to the heap,
+// and here only a miss pays for it.
+func (s *Source) profileMiss(ctx context.Context, key profileKey, spec trace.Spec) (*interval.Profile, error) {
+	ct := key.core
+	return s.profiles.GetCtx(ctx, key, func(ctx context.Context) (*interval.Profile, error) {
 		ctx, sp := obs.StartSpan(ctx, "profiler.profile")
 		sp.SetAttr("benchmark", spec.Name)
 		sp.SetAttr("core", ct.String())
@@ -163,7 +175,7 @@ func (s *Source) ProfileCtx(ctx context.Context, spec trace.Spec, ct config.Core
 		if err := faults.Check(faults.SiteProfiler); err != nil {
 			return nil, err
 		}
-		ps, err := s.benches.GetTraced(ctx, spec.Name, func(ctx context.Context) (*benchProfiles, error) {
+		ps, err := s.benches.GetCtx(ctx, spec.Name, func(ctx context.Context) (*benchProfiles, error) {
 			return s.measure(ctx, spec)
 		})
 		if err != nil {

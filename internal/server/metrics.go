@@ -17,7 +17,7 @@ import (
 type metrics struct {
 	mu       sync.Mutex
 	requests map[routeCode]int64
-	hist     map[string]*histogram
+	latency  map[string]*obs.Histogram // seconds, per route
 	rejected int64
 	drainHit int64 // requests refused while draining
 	panics   int64
@@ -29,41 +29,30 @@ type routeCode struct {
 	code  int
 }
 
-// latencyBuckets are the histogram upper bounds in seconds. Sweeps span
-// milliseconds (cache hit) to minutes (cold campaign), so the buckets
+// latencyBuckets are the request latency upper bounds in seconds. Sweeps
+// span milliseconds (cache hit) to minutes (cold campaign), so the buckets
 // stretch wide.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 120}
-
-// histogram is a fixed-bucket latency histogram.
-type histogram struct {
-	counts []int64 // len(latencyBuckets)+1; last is +Inf
-	sum    float64
-	n      int64
-}
 
 func newMetrics() *metrics {
 	return &metrics{
 		requests: make(map[routeCode]int64),
-		hist:     make(map[string]*histogram),
+		latency:  make(map[string]*obs.Histogram),
 		failures: make(map[string]int64),
 	}
 }
 
 // observe records one finished request.
 func (m *metrics) observe(route string, code int, d time.Duration) {
-	secs := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[routeCode{route, code}]++
-	h := m.hist[route]
+	h := m.latency[route]
 	if h == nil {
-		h = &histogram{counts: make([]int64, len(latencyBuckets)+1)}
-		m.hist[route] = h
+		h = obs.NewHistogram(latencyBuckets)
+		m.latency[route] = h
 	}
-	i := sort.SearchFloat64s(latencyBuckets, secs)
-	h.counts[i]++
-	h.sum += secs
-	h.n++
+	h.Observe(d.Seconds())
 }
 
 // reject records one request shed by admission control.
@@ -107,10 +96,10 @@ type sample struct {
 	value  float64
 }
 
-// engineHist is a snapshot of one engine-level histogram for rendering.
-// Label variants of one metric (labels non-empty, e.g. per-worker dispatch
-// latency) must be adjacent in the slice; write emits the HELP/TYPE headers
-// once per name.
+// engineHist is a snapshot of one histogram series for rendering: a route's
+// request latency or an engine-level histogram. Label variants of one metric
+// (labels non-empty, e.g. per-worker dispatch latency) must be adjacent in
+// the slice; write emits the HELP/TYPE headers once per name.
 type engineHist struct {
 	name   string
 	help   string
@@ -124,7 +113,7 @@ func histLabels(labels, le string) string {
 		return fmt.Sprintf(`{le=%q}`, le)
 	}
 	// le leads so the merged set stays alphabetical for the label sets we
-	// emit (worker=...), keeping scrapes diffable across daemons.
+	// emit (route=..., worker=...), keeping scrapes diffable across daemons.
 	return fmt.Sprintf(`{le=%q,%s`, le, labels[1:])
 }
 
@@ -172,28 +161,19 @@ func (m *metrics) write(w io.Writer, samples []sample, hists []engineHist) {
 		fmt.Fprintf(w, "smtflexd_engine_failures_total{kind=%q} %d\n", k, m.failures[k])
 	}
 
-	routes := make([]string, 0, len(m.hist))
-	for r := range m.hist {
+	routes := make([]string, 0, len(m.latency))
+	for r := range m.latency {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
-	fmt.Fprintf(w, "# HELP smtflexd_request_duration_seconds Request latency.\n")
-	fmt.Fprintf(w, "# TYPE smtflexd_request_duration_seconds histogram\n")
-	for _, r := range routes {
-		h := m.hist[r]
-		cum := int64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "smtflexd_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n", r, bound, cum)
-		}
-		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(w, "smtflexd_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", r, cum)
-		fmt.Fprintf(w, "smtflexd_request_duration_seconds_sum{route=%q} %g\n", r, h.sum)
-		fmt.Fprintf(w, "smtflexd_request_duration_seconds_count{route=%q} %d\n", r, h.n)
+	reqs := make([]engineHist, len(routes))
+	for i, r := range routes {
+		reqs[i] = engineHist{"smtflexd_request_duration_seconds", "Request latency.",
+			fmt.Sprintf(`{route=%q}`, r), m.latency[r].Snapshot()}
 	}
 
 	prevHist := ""
-	for _, h := range hists {
+	for _, h := range append(reqs, hists...) {
 		if h.name != prevHist {
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
 			prevHist = h.name

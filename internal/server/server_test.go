@@ -122,7 +122,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		`smtflexd_requests_total{route="/v1/sweep",code="200"}`,
-		`smtflexd_request_duration_seconds_bucket{route="/v1/sweep",le="+Inf"}`,
+		`smtflexd_request_duration_seconds_bucket{le="+Inf",route="/v1/sweep"}`,
 		"smtflexd_rejected_total",
 		`smtflexd_cache_entries{cache="sweeps"}`,
 		"smtflexd_queue_waiting",

@@ -220,8 +220,8 @@ func TestRunIndexedPropagatesError(t *testing.T) {
 }
 
 func TestRunIndexedStopsAfterError(t *testing.T) {
-	// After a failure the pool must stop handing out new indices; with the
-	// serial fallback nothing past the failing index runs at all.
+	// After a failure the pool must stop handing out new indices; with one
+	// worker nothing past the failing index runs at all.
 	ran := 0
 	err := runIndexed(context.Background(), 1, 100, nil, func(_ context.Context, i int) error {
 		ran++

@@ -34,7 +34,10 @@ func heteroParallelDesigns(smt bool) ([]config.Design, error) {
 // solves under the default model with this study's profiles.
 func (s *Study) evaluateParallel(app parallel.App, d config.Design, threads int) (parallel.Result, error) {
 	key := fmt.Sprintf("%+v|%s|smt=%t|bw=%g|n=%d", app, d.Name, d.SMTEnabled, d.MemBandwidthGBps, threads)
-	return s.parallelRuns.Get(key, func() (parallel.Result, error) {
+	if r, ok := s.parallelRuns.Load(key); ok {
+		return r, nil
+	}
+	return s.parallelRuns.GetCtx(context.Background(), key, func(context.Context) (parallel.Result, error) {
 		s.parallelComputes.Add(1)
 		return parallel.Evaluate(app, d, threads, s.Src)
 	})

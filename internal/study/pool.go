@@ -50,10 +50,10 @@ func (s *Study) workers() int {
 // runIndexed runs fn(ctx, i) for every i in [0, n) on up to workers
 // goroutines, stopping early if ctx is cancelled. On a task error the pool
 // stops handing out new indices and returns the error with the lowest
-// failing index, the serial engine's error. On cancellation it
+// failing index, the error a serial loop would return. On cancellation it
 // returns ctx.Err(), unless every index was already handed out and
 // completed — then the work is done and the cancellation is irrelevant. With
-// one worker it degenerates to the plain serial loop. queue, when non-nil,
+// one worker the indices run in order. queue, when non-nil,
 // receives each task's queue wait in seconds. A progress hook carried by ctx
 // (see WithProgress) is called after every completed task with the number of
 // tasks finished so far; completion order is nondeterministic under
@@ -67,21 +67,6 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 	}
 	prog := progressFrom(ctx)
 	enqueued := time.Now()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := safeCall(ctx, enqueued, queue, i, fn); err != nil {
-				return err
-			}
-			if prog != nil {
-				prog(i+1, n)
-			}
-		}
-		return nil
-	}
-
 	var (
 		next     atomic.Int64
 		done     atomic.Int64
@@ -137,8 +122,7 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 
 // safeCall runs fn(ctx, i) under a "pool.task" span, with the worker
 // fault-injection site applied and any panic converted into an error
-// wrapping ErrWorkerPanic, so both the serial and the parallel engine
-// contain evaluation panics identically.
+// wrapping ErrWorkerPanic.
 func safeCall(ctx context.Context, enqueued time.Time, queue *obs.Histogram, i int, fn func(ctx context.Context, i int) error) (err error) {
 	wait := time.Since(enqueued)
 	queue.Observe(wait.Seconds())

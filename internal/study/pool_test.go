@@ -12,8 +12,8 @@ import (
 )
 
 // Tests for panic containment at the worker-pool boundary: a panicking
-// evaluation must fail the run with ErrWorkerPanic in both the serial and the
-// parallel engine, without unwinding the caller.
+// evaluation must fail the run with ErrWorkerPanic with one worker and with
+// several, without unwinding the caller.
 
 func TestRunIndexedContainsPanicSerial(t *testing.T) {
 	err := runIndexed(context.Background(), 1, 4, nil, func(_ context.Context, i int) error {

@@ -167,11 +167,15 @@ func (s *Study) SoloRate(bench string) (float64, error) {
 	return s.SoloRateCtx(context.Background(), bench)
 }
 
-// SoloRateCtx is SoloRate with tracing: the cache lookup and — on a miss —
-// the profiling and solve behind it are recorded as spans when ctx carries
-// an active trace. The rate returned is identical to SoloRate's.
+// SoloRateCtx is SoloRate with tracing and cancellation: the cache lookup
+// and — on a miss — the profiling and solve behind it are recorded as spans
+// when ctx carries an active trace. The rate returned is identical to
+// SoloRate's; a caller whose ctx is done stops waiting and gets ctx's error.
 func (s *Study) SoloRateCtx(ctx context.Context, bench string) (float64, error) {
-	return s.solo.GetTraced(ctx, bench, func(ctx context.Context) (float64, error) {
+	if r, ok := s.solo.Load(bench); ok {
+		return r, nil
+	}
+	return s.solo.GetCtx(ctx, bench, func(ctx context.Context) (float64, error) {
 		s.soloComputes.Add(1)
 		spec, err := workload.ByName(bench)
 		if err != nil {
